@@ -9,6 +9,7 @@ theorem-level formula along an independent brute-force path.
 
 from .errors import (
     BadBasepoint,
+    CertificateError,
     CosetLimitExceeded,
     EmptyFamily,
     GalcalcError,
@@ -40,6 +41,7 @@ from .catalogue import (
 
 __all__ = [
     "BadBasepoint",
+    "CertificateError",
     "CosetLimitExceeded",
     "EmptyFamily",
     "GalcalcError",

@@ -45,6 +45,13 @@ class IllFormedMap(GalcalcError):
     """A presentation map uses out-of-range generators or is incompatible."""
 
 
+class CertificateError(GalcalcError):
+    """A computed certificate (witness, torsor, isomorphism) failed its check.
+
+    Raised by explicit checks that also run under ``python -O``.
+    """
+
+
 class CosetLimitExceeded(GalcalcError):
     """Todd-Coxeter coset table grew past the configured maximum.
 

@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .errors import CosetLimitExceeded, IllFormedMap, ParseError
-from .perm import Perm, PermGroup, _closure_set
+from .errors import CertificateError, CosetLimitExceeded, IllFormedMap, ParseError
+from .perm import Perm, PermGroup
 
 Word = tuple[int, ...]
 
@@ -674,18 +674,23 @@ def identify_finite(
     candidates: Sequence[PermGroup],
     max_cosets: int = DEFAULT_MAX_COSETS,
     presimplify: bool = True,
+    certified_order: Optional[int] = None,
 ) -> IdentificationResult:
     """Certify the presented group as one of the finite candidates.
 
     The order is certified first by coset enumeration over the trivial
-    subgroup; only candidates of exactly that order pass to the witness
-    search, after an abelianization compatibility precheck.
+    subgroup, unless the caller has already certified it by one and
+    passes it as ``certified_order``; only candidates of exactly that
+    order pass to the witness search, after an abelianization
+    compatibility precheck.
     """
     Fs = simplify(F) if presimplify else F
-    try:
-        order = coset_enumeration(Fs, (), max_cosets=max_cosets)
-    except CosetLimitExceeded:
-        return IdentificationResult(status=INCONCLUSIVE)
+    order = certified_order
+    if order is None:
+        try:
+            order = coset_enumeration(Fs, (), max_cosets=max_cosets)
+        except CosetLimitExceeded:
+            return IdentificationResult(status=INCONCLUSIVE)
     ab_factors = abelianization(Fs)
     for cand in candidates:
         if cand.order != order:
@@ -696,10 +701,10 @@ def identify_finite(
         if witness is None:
             continue
         ident = cand.identity
-        assert all(
-            _evaluate_word(r, witness, ident) == ident for r in Fs.relators
-        )
-        assert len(_closure_set(set(witness) | {ident})) == cand.order
+        if any(_evaluate_word(r, witness, ident) != ident for r in Fs.relators):
+            raise CertificateError("witness does not satisfy the relators")
+        if cand.subgroup_from_generators(witness).order != cand.order:
+            raise CertificateError("witness does not generate the candidate")
         return IdentificationResult(
             status=IDENTIFIED,
             match_name=cand.name or f"<order {cand.order}>",

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Hashable
 
 from .catalogue import name_group
-from .errors import BadBasepoint, SizeError
+from .errors import BadBasepoint, CertificateError, SizeError
 from .gset import GSet
 from .orbitcat import FinCategory, Morphism
 from .perm import (
@@ -129,7 +129,10 @@ def pi1(X: FinGroupoid, basepoint: Hashable) -> PermGroup:
     for a in loops:
         gens.append(Perm(pos[X.compose_table[(a, m)]] for m in anchored))
     group = PermGroup(len(anchored), gens)
-    assert group.order == len(loops)
+    if group.order != len(loops):
+        raise CertificateError(
+            "postcomposition action on the basepoint is not faithful"
+        )
     return group
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Sequence
 
-from .errors import IncompatibleGroups, ParseError, SizeError
+from .errors import CertificateError, IncompatibleGroups, ParseError, SizeError
 from .perm import GroupHom, Perm, PermGroup, find_isomorphism, homomorphisms
 from .stone import BooleanAlgebra
 
@@ -384,8 +384,10 @@ def classify_torsors(G: PermGroup, Gp: PermGroup) -> list[TorsorCandidate]:
     if Gp.order > TORSOR_CARRIER_BOUND:
         raise SizeError(f"torsor carrier bound {TORSOR_CARRIER_BOUND} exceeded")
     torsors = [torsor_from_hom(f) for f in homomorphisms(G, Gp)]
-    for T in torsors:
-        assert is_torsor(T)
+    if not all(is_torsor(T) for T in torsors):
+        raise CertificateError(
+            "a torsor induced by a homomorphism is not free and transitive"
+        )
     buckets: dict[tuple, list[TorsorCandidate]] = {}
     order = []
     for T in torsors:
@@ -454,7 +456,9 @@ def reconstruct_pi1(G: PermGroup) -> tuple[PermGroup, GroupHom]:
         if ok:
             auts.append(Perm(sigma))
     group = PermGroup(n, auts, name=None, max_order=max(n, G.max_order))
-    assert group.order == len(auts) == n
+    if not group.order == len(auts) == n:
+        raise CertificateError("right multiplications do not form a copy of G")
     witness = find_isomorphism(group, G)
-    assert witness is not None
+    if witness is None:
+        raise CertificateError("no isomorphism from the automorphism group onto G")
     return group, witness

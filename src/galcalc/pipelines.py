@@ -30,6 +30,7 @@ from .fp import (
     DEFAULT_MAX_COSETS,
     FpGroup,
     FpMap,
+    INCONCLUSIVE,
     IdentificationResult,
     abelianization,
     coset_enumeration,
@@ -366,23 +367,27 @@ def van_kampen_pushout(
     Delegates to the presentation pushout, then reports the
     abelianization and a bounded identification against the catalogue of
     the certified order (when the order certifies at or below the
-    candidate bound).
+    candidate bound).  One coset enumeration certifies the order and the
+    identification reuses it; when that run hits the coset bound the
+    identification is Inconclusive.
     """
     P = pushout(left, right)
     Ps = simplify(P)
     factors = tuple(abelianization(P))
-    candidates: list[PermGroup] = []
     try:
         order = coset_enumeration(Ps, (), max_cosets=max_cosets)
-        if order <= candidate_bound:
-            candidates = [
-                catalogue_group(spec)
-                for spec in standard_catalogue(order)
-                if catalogue_group(spec).order == order
-            ]
     except CosetLimitExceeded:
-        pass
-    ident = identify_finite(Ps, candidates, max_cosets=max_cosets, presimplify=False)
+        return VanKampenReport(
+            P, Ps, factors, IdentificationResult(status=INCONCLUSIVE)
+        )
+    candidates: list[PermGroup] = []
+    if order <= candidate_bound:
+        candidates = [
+            catalogue_group(spec)
+            for spec in standard_catalogue(order)
+            if catalogue_group(spec).order == order
+        ]
+    ident = identify_finite(Ps, candidates, presimplify=False, certified_order=order)
     return VanKampenReport(P, Ps, factors, ident)
 
 

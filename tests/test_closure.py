@@ -1,0 +1,115 @@
+"""Dimino closure and the routines built on it, against brute-force oracles.
+
+The oracles are the quadratic closures the kernel used before Dimino's
+algorithm: close a set by multiplying every new element with every
+element found so far, and pick generators greedily by re-closing.
+"""
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from galcalc.catalogue import catalogue_group, standard_catalogue
+from galcalc.perm import (
+    Perm,
+    PermGroup,
+    are_conjugate_homs,
+    hom_conjugacy_classes,
+    homomorphisms,
+)
+
+
+def naive_closure(seed, identity):
+    elems = {identity} | set(seed)
+    frontier = list(elems)
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for b in list(elems):
+                for c in (a * b, b * a):
+                    if c not in elems:
+                        elems.add(c)
+                        nxt.append(c)
+        frontier = nxt
+    return elems
+
+
+def greedy_generators(H):
+    gens = []
+    current = {H.parent.identity}
+    for g in H.members:
+        if len(current) == H.order:
+            break
+        if g in current:
+            continue
+        gens.append(g)
+        current = naive_closure(current | {g}, H.parent.identity)
+    return tuple(gens)
+
+
+def pairwise_hom_classes(G, H):
+    classes = []
+    for f in homomorphisms(G, H):
+        for cls in classes:
+            if are_conjugate_homs(cls[0], f):
+                cls.append(f)
+                break
+        else:
+            classes.append([f])
+    return classes
+
+
+@st.composite
+def perms_of_degree(draw, max_gens=3):
+    n = draw(st.integers(min_value=1, max_value=6))
+    gens = draw(st.lists(st.permutations(range(n)), max_size=max_gens))
+    return n, [Perm(g) for g in gens]
+
+
+@settings(max_examples=60, deadline=None)
+@given(perms_of_degree())
+def test_closure_equals_bfs_enumeration(case):
+    n, gens = case
+    Sn = catalogue_group(f"S{n}")
+    closed = Sn.subgroup_from_generators(gens)
+    assert closed.members == PermGroup(n, gens).elements
+
+
+@settings(max_examples=40, deadline=None)
+@given(perms_of_degree(max_gens=2))
+def test_normal_closure_is_least_normal_overgroup(case):
+    n, seed = case
+    Sn = catalogue_group(f"S{n}")
+    N = Sn.normal_closure(seed)
+    assert N.is_normal()
+    assert all(s in N for s in seed)
+    conjugates = {x * s * x.inverse() for x in Sn.elements for s in seed}
+    assert N.members == PermGroup(n, conjugates).elements
+
+
+def test_generating_set_matches_greedy_reclosing():
+    rng = random.Random(1404)
+    for spec in ["S4", "S5", "A5", "D24", "Q16", "C2xC2xC2", "C3xC9"]:
+        G = catalogue_group(spec)
+        assert G.small_generating_set() == greedy_generators(G.full_subgroup())
+        for _ in range(6):
+            seed = rng.sample(G.elements, rng.randint(1, 3))
+            H = G.subgroup_from_generators(seed)
+            assert H.generating_set() == greedy_generators(H)
+
+
+def test_derived_subgroup_matches_all_commutators():
+    for spec in ["S4", "A4", "D8", "Q8", "C12", "S5", "A5"]:
+        G = catalogue_group(spec)
+        comms = {a * b * a.inverse() * b.inverse() for a in G for b in G}
+        assert set(G.derived_subgroup().members) == naive_closure(comms, G.identity)
+
+
+def test_orbit_sweep_hom_classes_match_pairwise_scan():
+    groups = [catalogue_group(spec) for spec in standard_catalogue(8)]
+    for G in groups:
+        for H in groups:
+            swept = [[f.key() for f in cls] for cls in hom_conjugacy_classes(G, H)]
+            pairwise = [[f.key() for f in cls] for cls in pairwise_hom_classes(G, H)]
+            assert swept == pairwise, (G.name, H.name)

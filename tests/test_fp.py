@@ -1,9 +1,13 @@
 """Finitely presented groups: words, SNF, Todd-Coxeter, identification."""
 
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import galcalc
 from galcalc.catalogue import catalogue_group
 from galcalc.errors import CosetLimitExceeded, IllFormedMap, ParseError
 from galcalc.fp import (
@@ -241,6 +245,33 @@ def test_identify_inconclusive_no_match():
     r = identify_finite(F, [catalogue_group("C2xC2"), catalogue_group("C8")])
     assert r.status == "Inconclusive"
     assert r.certified_order == 4
+
+
+def test_identify_rejects_bad_witness_under_optimize():
+    # the certificate checks are explicit, so python -O keeps them: a
+    # witness of identity images fails to generate C3 and must raise
+    code = (
+        "import galcalc.fp as fp\n"
+        "from galcalc.catalogue import catalogue_group\n"
+        "from galcalc.errors import CertificateError\n"
+        "fp._surjection_witness = lambda F, H: (H.identity,) * F.ngens\n"
+        "try:\n"
+        "    r = fp.identify_finite(fp.parse_fp('fp:1:aaa'), [catalogue_group('C3')])\n"
+        "except CertificateError:\n"
+        "    print('rejected')\n"
+        "else:\n"
+        "    print(r.status)\n"
+    )
+    src = str(Path(galcalc.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": src},
+        timeout=60,
+        check=True,
+    )
+    assert out.stdout.strip() == "rejected"
 
 
 # -- pushouts ------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """Theorem pipelines: representation, cochain, and stable module paths."""
 
+import time
+
 import pytest
 
+from galcalc import fp, pipelines
 from galcalc.catalogue import catalogue_group, name_group, standard_catalogue
 from galcalc.errors import POrderError
 from galcalc.fp import FpGroup, FpMap
@@ -52,6 +55,16 @@ def test_modg_identity_when_p_does_not_divide():
         Q = galois_modg(G, p)
         assert Q.order == G.order
         assert find_isomorphism(Q, G) is not None
+
+
+def test_s7_quotients_within_the_order_bound():
+    # S7 (order 5040) is inside the default order bound; a quadratic
+    # subgroup closure took minutes here, Dimino's takes under a second
+    G = catalogue_group("S7")
+    start = time.perf_counter()
+    assert [galois_modg(G, p).order for p in (2, 7)] == [1, 2]
+    assert [galois_cochains(G, p).order for p in (2, 7)] == [1, 1]
+    assert time.perf_counter() - start < 10.0
 
 
 def test_modg_requires_prime():
@@ -306,3 +319,25 @@ def test_van_kampen_amalgamated():
     report = van_kampen_pushout(FpMap(Z, Z, ((1, 1),)), FpMap(Z, triv, ((),)))
     assert report.identification.match_name == "C2"
     assert list(report.invariant_factors) == [2]
+
+
+def test_van_kampen_enumerates_each_pushout_once(monkeypatch):
+    calls = []
+    original = fp.coset_enumeration
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fp, "coset_enumeration", counting)
+    monkeypatch.setattr(pipelines, "coset_enumeration", counting)
+    triv = FpGroup(0, ())
+    C2 = FpGroup(1, ((1, 1),))
+    C3 = FpGroup(1, ((1, 1, 1),))
+    free = van_kampen_pushout(FpMap(triv, C2, ()), FpMap(triv, C3, ()), max_cosets=500)
+    assert free.identification.status == "Inconclusive"
+    assert free.identification.certified_order is None
+    assert len(calls) == 1
+    glued = van_kampen_pushout(FpMap(C3, C3, ((1,),)), FpMap(C3, C3, ((1,),)))
+    assert glued.identification.certified_order == 3
+    assert len(calls) == 2
