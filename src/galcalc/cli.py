@@ -39,12 +39,12 @@ from .errors import (
 from .fp import DEFAULT_MAX_COSETS, FpMap, parse_fp, word_from_text
 from .groupoid import hom_groupoid
 from .gset import classify_torsors
-from .orbitcat import close_family, nerve_pi0, nerve_pi1_presentation, reduced_orbit_category
 from .perm import DEFAULT_MAX_ORDER, PermGroup
 from .pipelines import (
     cochains_report,
     galois_stmod,
     modg_report,
+    orbit_nerve,
     van_kampen_pushout,
 )
 from .stone import BooleanAlgebra, idempotent_decompositions, spectrum
@@ -154,22 +154,18 @@ def _cmd_orbit_nerve(args: argparse.Namespace) -> int:
     G = _group(args, args.group)
     if G.order % args.prime != 0:
         raise POrderError(f"prime {args.prime} does not divide |G| = {G.order}")
-    seed = G.elementary_abelian_p_subgroups(args.prime)
-    family = close_family(G, seed, drop_trivial=True)
-    cat = reduced_orbit_category(G, family)
-    components = nerve_pi0(cat)
-    F = nerve_pi1_presentation(cat, min(cat.objects))
+    cat, components, F = orbit_nerve(G, G.elementary_abelian_p_subgroups(args.prime))
     payload = {
         "schema": 1,
         "input": {"group": args.group, "prime": args.prime},
         "objects": len(cat.objects),
         "morphisms": len(cat.morphisms),
-        "pi0_components": len(components),
+        "pi0_components": components,
         "presentation": F.spec_text(),
     }
     text = (
         f"orbit category: {len(cat.objects)} objects, "
-        f"{len(cat.morphisms)} morphisms, {len(components)} nerve component(s)\n"
+        f"{len(cat.morphisms)} morphisms, {components} nerve component(s)\n"
         f"pi1 presentation: {F.spec_text()}"
     )
     _emit(args, payload, text)

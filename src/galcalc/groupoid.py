@@ -38,15 +38,15 @@ class FinGroupoid(FinCategory):
         self._check_invertible()
 
     def _check_invertible(self) -> None:
-        for i, m in enumerate(self.morphisms):
-            has_inverse = any(
-                self.morphisms[j].src == m.dst
-                and self.morphisms[j].dst == m.src
-                and self.compose_table[(j, i)] == self.identity_of[m.src]
-                and self.compose_table[(i, j)] == self.identity_of[m.dst]
-                for j in range(len(self.morphisms))
-            )
-            if not has_inverse:
+        # one pass over the table: i is invertible iff j o i, i o j are ids
+        ids = self.identity_of
+        invertible = [False] * len(self.morphisms)
+        for (j, i), k in self.compose_table.items():
+            m = self.morphisms[i]
+            if k == ids[m.src] and self.compose_table.get((i, j)) == ids[m.dst]:
+                invertible[i] = True
+        for i, ok in enumerate(invertible):
+            if not ok:
                 raise ValueError(f"morphism {i} has no inverse")
 
 
@@ -247,8 +247,6 @@ def hom_groupoids_agree(G: PermGroup, H: PermGroup) -> bool:
         obj = next(
             i for i, f in enumerate(homs) if f.key() == rep.key()
         )
-        comp = next(c for c in comps if obj in c)
-        del comp
         auts = pi1(brute, obj)
         if find_isomorphism(auts, cent.as_group()) is None:
             return False

@@ -1,8 +1,9 @@
 """Finite G-sets: the Galois category of a finite group at desk scale.
 
-A GSet stores a left action of a PermGroup on a finite carrier, with the
-action maps of all group elements built from generator images and
-verified exhaustively during construction.  Torsors carry an auxiliary
+A GSet stores a left action of a PermGroup on a finite carrier.  The
+action maps of all group elements are built from generator images by
+``perm.extend_generator_map``, the one routine that extends generator
+images and proves them multiplicative.  Torsors carry an auxiliary
 commuting action; torsor isomorphism testing is brute force over the
 carrier bijections compatible with both actions.
 """
@@ -13,7 +14,8 @@ from dataclasses import dataclass
 from typing import Hashable, Sequence
 
 from .errors import CertificateError, IncompatibleGroups, ParseError, SizeError
-from .perm import GroupHom, Perm, PermGroup, find_isomorphism, homomorphisms
+from .perm import GroupHom, Perm, PermGroup, extend_generator_map
+from .perm import find_isomorphism, homomorphisms
 from .stone import BooleanAlgebra
 
 TORSOR_CARRIER_BOUND = 24
@@ -22,10 +24,10 @@ TORSOR_CARRIER_BOUND = 24
 class GSet:
     """A finite set with a left action of a permutation group.
 
-    The per-element action maps are assembled by breadth-first words in
-    the generators and the action law g(h(x)) = (gh)(x) is verified for
-    every element/generator pair, which makes the action axioms
-    exhaustively checked at construction time.
+    The carrier permutations of the generators are extended to action
+    maps of all group elements by ``perm.extend_generator_map``, which
+    also proves the action law g(h(x)) = (gh)(x); a generator assignment
+    that is not an action raises ValueError at construction time.
     """
 
     def __init__(
@@ -39,42 +41,17 @@ class GSet:
         n = len(self.points)
         if len(gen_images) != len(group.generators):
             raise ValueError("need one image list per group generator")
-        gmaps = []
+        gen_perms = []
         for img in gen_images:
             img = tuple(img)
             if sorted(img) != list(range(n)):
                 raise ValueError("generator image is not a permutation of the carrier")
-            gmaps.append(img)
-        self._gen_maps = tuple(gmaps)
-        self._maps = self._build_and_verify()
-
-    def _build_and_verify(self) -> dict[Perm, tuple[int, ...]]:
-        n = len(self.points)
-        ident = tuple(range(n))
-        maps: dict[Perm, tuple[int, ...]] = {self.group.identity: ident}
-        for perm, parent, gi in self.group.definition_order()[1:]:
-            assert parent is not None and gi is not None
-            pm = maps[parent]
-            gm = self._gen_maps[gi]
-            # perm = parent * gen acts by parent after gen
-            maps[perm] = tuple(pm[gm[x]] for x in range(n))
-        for g in self.group.elements:
-            mg = maps[g]
-            for gi, s in enumerate(self.group.generators):
-                ms = self._gen_maps[gi]
-                mgs = maps[g * s]
-                if any(mgs[x] != mg[ms[x]] for x in range(n)):
-                    raise ValueError("generator images do not define a group action")
-        return maps
-
-    @classmethod
-    def from_generator_images(
-        cls,
-        group: PermGroup,
-        points: Sequence[Hashable],
-        gen_images: Sequence[Sequence[int]],
-    ) -> "GSet":
-        return cls(group, points, gen_images)
+            gen_perms.append(Perm._raw(img))
+        self._gen_maps = tuple(g.images for g in gen_perms)
+        maps = extend_generator_map(group, gen_perms, Perm.identity(n))
+        if maps is None:
+            raise ValueError("generator images do not define a group action")
+        self._maps = maps
 
     @classmethod
     def regular(cls, group: PermGroup) -> "GSet":
@@ -121,10 +98,10 @@ class GSet:
         return f"GSet({len(self.points)} points over {self.group!r})"
 
     def act(self, g: Perm, point: int) -> int:
-        return self._maps[g][point]
+        return self._maps[g].images[point]
 
     def action_map(self, g: Perm) -> tuple[int, ...]:
-        return self._maps[g]
+        return self._maps[g].images
 
     def orbits(self) -> list[tuple[int, ...]]:
         """Orbit partition of the carrier, in least-point order."""

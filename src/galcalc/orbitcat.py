@@ -65,14 +65,20 @@ class FinCategory:
         for m in self.morphisms:
             if not (0 <= m.src < n and 0 <= m.dst < n):
                 raise ValueError("morphism endpoint out of range")
+        nm = len(self.morphisms)
         for (g, f), h in self.compose_table.items():
+            if not (0 <= f < nm and 0 <= g < nm and 0 <= h < nm):
+                raise ValueError("composition table index out of range")
             mf, mg, mh = self.morphisms[f], self.morphisms[g], self.morphisms[h]
             if mf.dst != mg.src or mh.src != mf.src or mh.dst != mg.dst:
                 raise ValueError("composition table violates source/target")
-        for f, mf in enumerate(self.morphisms):
-            for g, mg in enumerate(self.morphisms):
-                if mf.dst == mg.src and (g, f) not in self.compose_table:
-                    raise ValueError("composition table not total on composable pairs")
+        # keys are distinct composable pairs: total iff sum of in(o) * out(o)
+        ins, outs = [0] * n, [0] * n
+        for m in self.morphisms:
+            outs[m.src] += 1
+            ins[m.dst] += 1
+        if len(self.compose_table) != sum(a * b for a, b in zip(ins, outs)):
+            raise ValueError("composition table not total on composable pairs")
         for f, mf in enumerate(self.morphisms):
             if self.compose_table[(self.identity_of[mf.dst], f)] != f:
                 raise ValueError("left unit law fails")
@@ -162,19 +168,6 @@ class FinCategory:
         for o in range(n):
             comps.setdefault(find(o), []).append(o)
         return [sorted(c) for _, c in sorted(comps.items())]
-
-
-def category_from_group(G: PermGroup) -> FinCategory:
-    """The one-object category whose endomorphisms are the group."""
-    els = G.elements
-    index = {g: i for i, g in enumerate(els)}
-    morphisms = [Morphism(0, 0, g) for g in els]
-    table = {
-        (j, i): index[els[j] * els[i]]
-        for i in range(len(els))
-        for j in range(len(els))
-    }
-    return FinCategory([0], morphisms, [index[G.identity]], table)
 
 
 def category_from_poset(
@@ -347,11 +340,6 @@ def reduced_orbit_category(G: PermGroup, family: SubgroupFamily) -> FinCategory:
 
 
 # -- nerve invariants ---------------------------------------------------------
-
-
-def nerve_pi0(C: FinCategory) -> list[list[Hashable]]:
-    """Components of the nerve: objects under the undirected morphism graph."""
-    return [[C.objects[o] for o in comp] for comp in C.object_components()]
 
 
 def nerve_pi1_presentation(C: FinCategory, basepoint: Hashable) -> FpGroup:

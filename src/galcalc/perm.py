@@ -2,8 +2,9 @@
 
 Elements are permutations of {0, ..., degree-1} stored as image tuples.
 A whole group is enumerated once by breadth-first closure over its
-generators, which also records the words that homomorphisms are
-extended along.  Generated subgroups (normal closures, elementary
+generators, which also records the words that ``extend_generator_map``,
+the one routine that builds and verifies homomorphisms and G-set
+actions, extends generator images along.  Generated subgroups (normal closures, elementary
 abelian and Sylow subgroups, generating sets, the generation tests of
 the isomorphism search) are closed by Dimino's algorithm, at about one
 product per element of the result.  Every element list is sorted
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from math import gcd
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import NotNormal, SizeError
 
@@ -38,7 +39,7 @@ class Perm:
 
     @classmethod
     def _raw(cls, images: tuple[int, ...]) -> "Perm":
-        # fast path for products of already-validated permutations
+        # fast path for image tuples already known to be permutations
         p = cls.__new__(cls)
         p.images = images
         return p
@@ -229,10 +230,6 @@ class PermGroup:
         return self.degree == other.degree and set(self.elements) == set(
             other.elements
         )
-
-    def is_abelian(self) -> bool:
-        els = self.elements
-        return all(a * b == b * a for a, b in itertools.combinations(els, 2))
 
     def order_profile(self) -> dict[int, int]:
         """Map element order -> count; an isomorphism invariant."""
@@ -623,7 +620,7 @@ class GroupHom:
         self.target = target
         self.gen_images = tuple(gen_images)
         if _map is None:
-            _map = extend_generator_map(source, target, self.gen_images)
+            _map = extend_generator_map(source, self.gen_images, target.identity)
             if _map is None:
                 raise ValueError("generator images do not define a homomorphism")
         self._map = _map
@@ -651,9 +648,6 @@ class GroupHom:
     def image_elements(self) -> tuple[Perm, ...]:
         return tuple(sorted(set(self._map.values())))
 
-    def image_subgroup(self) -> Subgroup:
-        return Subgroup(self.target, self.image_elements(), _closed=True)
-
     def kernel(self) -> Subgroup:
         ident = self.target.identity
         return Subgroup(
@@ -665,23 +659,23 @@ class GroupHom:
     def is_surjective(self) -> bool:
         return len(set(self._map.values())) == self.target.order
 
-    def is_injective(self) -> bool:
-        return len(set(self._map.values())) == self.source.order
-
     def is_isomorphism(self) -> bool:
         return self.source.order == self.target.order and self.is_surjective()
 
 
 def extend_generator_map(
-    source: PermGroup, target: PermGroup, images: Sequence[Perm]
+    source: PermGroup, images: Sequence[Perm], identity: Perm
 ) -> Optional[dict[Perm, Perm]]:
     """Extend generator images to all elements, or None if inconsistent.
 
-    The extension assigns f(cur * gen) = f(cur) * f(gen) along the BFS
-    word structure, then verifies f(g * s) = f(g) * f(s) for every element
-    g and generator s, which is equivalent to full multiplicativity.
+    The one routine behind homomorphisms and G-set actions; ``identity``
+    is the codomain's.  It assigns f(cur * gen) = f(cur) * f(gen) along
+    the BFS words, then verifies f(g * s) = f(g) * f(s) for every element
+    g and generator s.  That proves f multiplicative: by induction
+    f(g * w) = f(g) * f(w) for every positive word w in the generators,
+    and every element of a finite group is such a word.
     """
-    fmap: dict[Perm, Perm] = {source.identity: target.identity}
+    fmap: dict[Perm, Perm] = {source.identity: identity}
     defs = source.definition_order()
     for perm, parent, gi in defs[1:]:
         assert parent is not None and gi is not None
@@ -697,15 +691,12 @@ def extend_generator_map(
 def homomorphisms(G: PermGroup, H: PermGroup) -> list[GroupHom]:
     """All homomorphisms G -> H, by brute-force generator assignment.
 
-    Candidate images are pruned by order divisibility; accepted maps are
-    verified against the full element-level multiplication table.
+    Candidate images are pruned by order divisibility; each candidate is
+    extended and proved multiplicative by ``extend_generator_map``.
     """
-    gens = G.generators
-    if not gens:
-        return [GroupHom(G, H, ())]
     cand_lists = []
     total = 1
-    for g in gens:
+    for g in G.generators:
         o = g.order()
         cands = [h for h in H.elements if o % h.order() == 0]
         cand_lists.append(cands)
@@ -714,14 +705,7 @@ def homomorphisms(G: PermGroup, H: PermGroup) -> list[GroupHom]:
         raise SizeError(f"homomorphism search space {total} exceeds bound")
     out = []
     for images in itertools.product(*cand_lists):
-        fmap = extend_generator_map(G, H, images)
-        if fmap is None:
-            continue
-        for a in G.elements:
-            fa = fmap[a]
-            if any(fmap[a * b] != fa * fmap[b] for b in G.elements):
-                fmap = None
-                break
+        fmap = extend_generator_map(G, images, H.identity)
         if fmap is not None:
             out.append(GroupHom(G, H, images, _map=fmap))
     out.sort(key=lambda f: f.key())
@@ -761,71 +745,41 @@ def hom_conjugacy_classes(G: PermGroup, H: PermGroup) -> list[list[GroupHom]]:
 
 
 def find_isomorphism(G: PermGroup, H: PermGroup) -> Optional[GroupHom]:
-    """An isomorphism G -> H, or None; order profiles prune the search."""
+    """An isomorphism G -> H, or None; order profiles prune the search.
+
+    Between groups of equal order every surjection is an isomorphism.
+    """
     if G.order != H.order:
         return None
     if G.order_profile() != H.order_profile():
         return None
-    gens = G.small_generating_set()
-    if not gens:
-        return GroupHom(G, H, [H.identity] * len(G.generators))
     by_order: dict[int, list[Perm]] = {}
     for h in H.elements:
         by_order.setdefault(h.order(), []).append(h)
-    cand_lists = [by_order.get(g.order(), []) for g in gens]
-    for images in itertools.product(*cand_lists):
-        if len(_Closure(H.identity, images).members) != H.order:
-            continue
-        fmap = _extend_on_gens(G, H, gens, images)
-        if fmap is not None and len(set(fmap.values())) == H.order:
-            return GroupHom(
-                G, H, [fmap[g] for g in G.generators], _map=fmap
-            )
-    return None
+    return _first_surjection(G, H, lambda g: by_order.get(g.order(), []))
 
 
 def find_surjection(G: PermGroup, H: PermGroup) -> Optional[GroupHom]:
     """A surjective homomorphism G -> H, or None."""
     if G.order % H.order != 0:
         return None
+    return _first_surjection(
+        G, H, lambda g: [h for h in H.elements if g.order() % h.order() == 0]
+    )
+
+
+def _first_surjection(
+    G: PermGroup, H: PermGroup, candidates: Callable[[Perm], list[Perm]]
+) -> Optional[GroupHom]:
+    """The first surjection G -> H whose images of the generators of
+    G.small_generating_set() are taken from ``candidates(generator)``,
+    scanning image tuples in product order."""
     gens = G.small_generating_set()
-    if not gens:
-        return GroupHom(G, H, ()) if H.order == 1 else None
-    cand_lists = [
-        [h for h in H.elements if g.order() % h.order() == 0] for g in gens
-    ]
-    for images in itertools.product(*cand_lists):
+    presented = PermGroup(G.degree, gens, max_order=G.max_order)
+    for images in itertools.product(*(candidates(g) for g in gens)):
         if len(_Closure(H.identity, images).members) != H.order:
             continue
-        fmap = _extend_on_gens(G, H, gens, images)
+        fmap = extend_generator_map(presented, images, H.identity)
         if fmap is not None:
             return GroupHom(G, H, [fmap[g] for g in G.generators], _map=fmap)
     return None
-
-
-def _extend_on_gens(
-    G: PermGroup,
-    H: PermGroup,
-    gens: Sequence[Perm],
-    images: Sequence[Perm],
-) -> Optional[dict[Perm, Perm]]:
-    """Extend a map on an arbitrary generating set by BFS words."""
-    fmap: dict[Perm, Perm] = {G.identity: H.identity}
-    queue = [G.identity]
-    while queue:
-        nxt = []
-        for cur in queue:
-            for g, img in zip(gens, images):
-                new = cur * g
-                if new not in fmap:
-                    fmap[new] = fmap[cur] * img
-                    nxt.append(new)
-        queue = nxt
-    if len(fmap) != G.order:
-        return None  # gens do not generate G; caller passed a bad set
-    for a in G.elements:
-        fa = fmap[a]
-        for g, img in zip(gens, images):
-            if fmap[a * g] != fa * img:
-                return None
-    return fmap

@@ -39,8 +39,8 @@ from .fp import (
     simplify,
 )
 from .orbitcat import (
+    FinCategory,
     close_family,
-    nerve_pi0,
     nerve_pi1_presentation,
     reduced_orbit_category,
 )
@@ -115,10 +115,10 @@ def sylow_triple_condition(G: PermGroup, p: int) -> bool:
 
 
 def maximal_elementary_abelian_classes(
-    G: PermGroup, p: int
+    G: PermGroup, subs: Sequence[Subgroup]
 ) -> list[list[Subgroup]]:
-    """Conjugacy classes of maximal elementary abelian p-subgroups."""
-    subs = G.elementary_abelian_p_subgroups(p)
+    """Conjugacy classes of the maximal members of ``subs``, which is
+    ``G.elementary_abelian_p_subgroups(p)``."""
     maximal = [
         H for H in subs if not any(H is not K and H <= K for K in subs)
     ]
@@ -207,21 +207,23 @@ class GaloisReport:
         return out
 
 
-def stmod_candidates(G: PermGroup, p: int) -> list[PermGroup]:
+def stmod_candidates(
+    G: PermGroup, modg: PermGroup, classes: Sequence[Sequence[Subgroup]]
+) -> list[PermGroup]:
     """Candidate pool for identifying the nerve fundamental group.
 
     The trivial group, the catalogue up to |G|, the representation-
-    category quotient, and the Weyl group of each maximal elementary
-    abelian class representative: every special-case answer lies here.
+    category quotient ``modg``, and the Weyl group of each maximal
+    elementary abelian class representative in ``classes``: every
+    special-case answer lies here.
     """
     pool: list[PermGroup] = [catalogue_group("C1")]
     for spec in standard_catalogue(G.order):
         if spec != "C1":
             pool.append(catalogue_group(spec))
-    modg = galois_modg(G, p)
     modg.name = modg.name or "modg-quotient"
     pool.append(modg)
-    for i, cls in enumerate(maximal_elementary_abelian_classes(G, p)):
+    for i, cls in enumerate(classes):
         W = weyl_group(G, cls[0])
         W.name = W.name or f"weyl-class-{i}"
         pool.append(W)
@@ -249,14 +251,12 @@ def galois_stmod(
             f"prime {p} does not divide |G| = {G.order}: "
             "the stable module category is zero and its Galois groupoid empty"
         )
-    seed = G.elementary_abelian_p_subgroups(p)
-    family = close_family(G, seed, drop_trivial=True)
-    cat = reduced_orbit_category(G, family)
-    components = nerve_pi0(cat)
-    basepoint = min(cat.objects)
-    F = nerve_pi1_presentation(cat, basepoint)
+    subs = G.elementary_abelian_p_subgroups(p)
+    modg = galois_modg(G, p)
+    classes = maximal_elementary_abelian_classes(G, subs)
+    _, components, F = orbit_nerve(G, subs)
     Fs = simplify(F)
-    pool = list(candidates) if candidates is not None else stmod_candidates(G, p)
+    pool = list(candidates) if candidates is not None else stmod_candidates(G, modg, classes)
     ident = identify_finite(Fs, pool, max_cosets=max_cosets, presimplify=False)
     report = GaloisReport(
         group_spec=G.name or f"<order {G.order}>",
@@ -265,18 +265,37 @@ def galois_stmod(
         presentation=F,
         simplified=Fs,
         identification=ident,
-        pi0_components=len(components),
+        pi0_components=components,
     )
-    return stmod_cross_check(G, p, report)
+    return stmod_cross_check(G, p, report, modg, classes)
 
 
-def stmod_cross_check(G: PermGroup, p: int, report: GaloisReport) -> GaloisReport:
+def orbit_nerve(
+    G: PermGroup, subs: Sequence[Subgroup]
+) -> tuple[FinCategory, int, FpGroup]:
+    """The reduced orbit category on the closed family generated by
+    ``subs``, its number of nerve components, and the nerve's pi1
+    presentation at the least object."""
+    family = close_family(G, subs, drop_trivial=True)
+    cat = reduced_orbit_category(G, family)
+    F = nerve_pi1_presentation(cat, min(cat.objects))
+    return cat, len(cat.object_components()), F
+
+
+def stmod_cross_check(
+    G: PermGroup,
+    p: int,
+    report: GaloisReport,
+    modg: PermGroup,
+    classes: Sequence[Sequence[Subgroup]],
+) -> GaloisReport:
     """Record agreement with every special-case theorem that applies.
 
     Central order-p element and Sylow-triple cases compare against the
-    representation-category quotient; a single conjugacy class of
-    rank-one maximal elementary abelians compares against its Weyl
-    group.  Isomorphism is tested on groups, never on names.
+    representation-category quotient ``modg``; a single conjugacy class
+    of rank-one maximal elementary abelians in ``classes`` compares
+    against its Weyl group.  Isomorphism is tested on groups, never on
+    names.
     """
     nerve_result = report.result_group()
 
@@ -288,24 +307,21 @@ def stmod_cross_check(G: PermGroup, p: int, report: GaloisReport) -> GaloisRepor
 
     checks = list(report.cross_checks)
     if has_central_order_p(G, p):
-        target = galois_modg(G, p)
         checks.append(
             CrossCheck(
                 PATH_CENTRAL,
-                agrees(target),
-                f"modg quotient has order {target.order}",
+                agrees(modg),
+                f"modg quotient has order {modg.order}",
             )
         )
     if sylow_triple_condition(G, p):
-        target = galois_modg(G, p)
         checks.append(
             CrossCheck(
                 PATH_SYLOW,
-                agrees(target),
-                f"modg quotient has order {target.order}",
+                agrees(modg),
+                f"modg quotient has order {modg.order}",
             )
         )
-    classes = maximal_elementary_abelian_classes(G, p)
     if len(classes) == 1 and classes[0][0].order == p:
         target = weyl_group(G, classes[0][0])
         checks.append(

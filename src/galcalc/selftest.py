@@ -13,7 +13,7 @@ from .catalogue import catalogue_group, standard_catalogue
 from .fp import FpGroup, abelianization, coset_enumeration, identify_finite, simplify
 from .groupoid import delooping, hom_groupoids_agree, pi1
 from .gset import GSet, classify_torsors, reconstruct_pi1, subterminal_boolean_algebra
-from .orbitcat import category_from_group, category_from_poset, nerve_pi1_presentation
+from .orbitcat import category_from_poset, nerve_pi1_presentation
 from .perm import find_isomorphism, find_surjection, hom_conjugacy_classes, homomorphisms
 from .pipelines import galois_cochains, galois_modg, galois_stmod
 from .stone import algebra_of_set, idempotent_decompositions, spectrum
@@ -119,7 +119,7 @@ def _suite_orbit_nerve() -> list[str]:
     bad = []
     for spec in ("C6", "S3", "Q8"):
         G = catalogue_group(spec)
-        F = nerve_pi1_presentation(category_from_group(G), 0)
+        F = nerve_pi1_presentation(delooping(G), 0)
         res = identify_finite(F, [G])
         if res.status != "Identified":
             bad.append(f"nerve pi1 of B{spec} not identified as {spec}")

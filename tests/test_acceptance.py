@@ -9,9 +9,9 @@ import time
 
 from galcalc.catalogue import catalogue_group, name_group, standard_catalogue
 from galcalc.fp import FpGroup, FpMap, abelianization, coset_enumeration, identify_finite, simplify
-from galcalc.groupoid import hom_groupoids_agree
+from galcalc.groupoid import delooping, hom_groupoids_agree
 from galcalc.gset import classify_torsors, reconstruct_pi1
-from galcalc.orbitcat import category_from_group, category_from_poset, nerve_pi1_presentation
+from galcalc.orbitcat import category_from_poset, nerve_pi1_presentation
 from galcalc.perm import find_isomorphism, find_surjection, hom_conjugacy_classes
 from galcalc.pipelines import (
     galois_cochains,
@@ -155,7 +155,7 @@ def test_criterion_10_nerve_pi1_sanity():
         # delooping categories recover the group
         for spec in ("C6", "S3", "Q8", "D8"):
             G = catalogue_group(spec)
-            F = nerve_pi1_presentation(category_from_group(G), 0)
+            F = nerve_pi1_presentation(delooping(G), 0)
             r = identify_finite(F, [G])
             assert r.status == "Identified", spec
         # categories with a terminal object certify trivial pi1

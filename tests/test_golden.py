@@ -1,0 +1,77 @@
+"""Default CLI output pinned by digest.
+
+Each command's stdout, in ``--format text`` and ``--format json``, must
+hash to the sha256 recorded here, so any change to the default output
+(including a reordering of witnesses or representatives) fails this test.
+The digests were taken from the code before homomorphism extension was
+unified into ``perm.extend_generator_map``.  A deliberate change of the
+output format updates them in the same commit.
+"""
+
+import hashlib
+import time
+
+import pytest
+
+from galcalc.cli import main
+
+# command -> (text digest, json digest)
+DIGESTS = {
+    "modg S4 -p 2": (
+        "9be98cc0a38a96f1057ae2da9a307bd9b70e04ede97794d9385d22c0509781cf",
+        "dd66097b6af8e49299a6ccc39761979e53a24efa29d932a1e9bccf80addadd20",
+    ),
+    "cochains A5 -p 2": (
+        "9be98cc0a38a96f1057ae2da9a307bd9b70e04ede97794d9385d22c0509781cf",
+        "9b69b556d6fcb9a881122d4aaf0b1d06f6b4d1de95e053414c4fd94d0282947e",
+    ),
+    "stmod S4 -p 2": (
+        "73f8ebc5f339dd49d24e26e94f24e7d99571fa272d339e52018933615ba4017b",
+        "fc9585051410aaebe84e0f30c619a38e02b19e6530b1104dd17c27f14aaafa52",
+    ),
+    "stmod D8 -p 2": (
+        "b40f549d4effb21fd4aaf2caf99f01daa70770c28f7702b0f76de1613064984e",
+        "322c0ebe3b2e0daddba687c907878d4bb9adba9f18566e5c69cf5946552b4033",
+    ),
+    "hom S3 D8": (
+        "a1e8540d610a582c47acb5ac41c7309973af64075c27cff691f8a78595bd4ed4",
+        "fe1da35be4f83d15243e5989f5cbdb50ae15492a6edb3d20204d0157343964a4",
+    ),
+    "hom C4 Q8": (
+        "e92830dc64a1a89739b659e55c744b90466069a8c24eec44a61f5b73b7d07a0e",
+        "269cae71600ffc9e08f8355f9a93a6c8c57109ffa25d22a9a14e643b6e9fec07",
+    ),
+    "torsors C2 S3": (
+        "32d22fcd2ee10d19db6f37959df17bd2efb8eebfdc50d6d32f7ec4442d0f8b51",
+        "c15d95b4ac9eab2a777a8909aa645d9089a311c2ba1e439e676f7f9bf6f25584",
+    ),
+    "orbit-nerve S4 -p 2": (
+        "5ea73b98876c3bff3727f5f693a28948c6b59e5e14c2ef70ffe542a84d189629",
+        "d52c41d3134dc73e605d0b4061e6cb8fe90e8f163f6b7051a1812bb0de74cc3f",
+    ),
+    "pushout fp:1: fp:2:aa,bbb,ababab fp:1:aa a a": (
+        "7dc131e6977a8a396794ef75315f15d5ce6796bab0e69dd630ac64771932886a",
+        "383cdf520c1c703a67dd7911d5df1402fee687a20bae6655bbe51d770890261c",
+    ),
+    "pushout fp:0: fp:1:aa fp:1:aaa - -": (
+        "528807f2fdea96d87b7727f53b25fdae192077f399342af1ee4d3e4232e11669",
+        "a63af9f4c45f304926b8b8544ca0f69f6fdb5d157dc36d5ed82a4573f9fadf49",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(DIGESTS))
+def test_default_output_digest(capsys, command):
+    for fmt, expected in zip(("text", "json"), DIGESTS[command]):
+        assert main(command.split() + ["--format", fmt]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == expected, (command, fmt)
+
+
+def test_golden_list_is_fast(capsys):
+    start = time.perf_counter()
+    for command in DIGESTS:
+        for fmt in ("text", "json"):
+            main(command.split() + ["--format", fmt])
+    capsys.readouterr()
+    assert time.perf_counter() - start < 5.0

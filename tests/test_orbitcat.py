@@ -5,15 +5,14 @@ import pytest
 from galcalc.catalogue import catalogue_group
 from galcalc.errors import BadBasepoint, EmptyFamily
 from galcalc.fp import abelianization, coset_enumeration, identify_finite, simplify
+from galcalc.groupoid import delooping, pi0
 from galcalc.gset import GSet
 from galcalc.orbitcat import (
     FinCategory,
     Morphism,
     SubgroupFamily,
-    category_from_group,
     category_from_poset,
     close_family,
-    nerve_pi0,
     nerve_pi1_presentation,
     orbit_category,
     reduced_orbit_category,
@@ -111,14 +110,14 @@ def test_orbit_hom_sizes_match_fixed_point_oracle(spec, p):
 
 def test_nerve_pi0():
     S3 = catalogue_group("S3")
-    C = category_from_group(S3)
-    assert len(nerve_pi0(C)) == 1
+    C = delooping(S3)
+    assert len(pi0(C)) == 1
     # disjoint union built by hand: two one-object categories
     ms = [Morphism(0, 0, "a"), Morphism(1, 1, "b")]
     D = FinCategory([0, 1], ms, [0, 1], {(0, 0): 0, (1, 1): 1})
-    assert len(nerve_pi0(D)) == 2
+    assert len(pi0(D)) == 2
     E = FinCategory([], [], [], {})
-    assert nerve_pi0(E) == []
+    assert pi0(E) == []
 
 
 def test_nerve_pi1_of_delooping_identifies_group():
@@ -126,7 +125,7 @@ def test_nerve_pi1_of_delooping_identifies_group():
 
     for spec in standard_catalogue(12):
         G = catalogue_group(spec)
-        C = category_from_group(G)
+        C = delooping(G)
         F = nerve_pi1_presentation(C, 0)
         assert F.ngens == G.order - 1, spec
         r = identify_finite(F, [G])
@@ -158,7 +157,7 @@ def test_nerve_pi1_contractible_poset():
 
 
 def test_nerve_pi1_bad_basepoint():
-    C = category_from_group(catalogue_group("C2"))
+    C = delooping(catalogue_group("C2"))
     with pytest.raises(BadBasepoint):
         nerve_pi1_presentation(C, "nope")
 
@@ -194,7 +193,7 @@ def test_fincategory_json_schema():
     assert len(data["composition"]) == 4
     assert data["object_info"][0]["subgroup_order"] == 2
     # plain categories have no object metadata
-    plain = category_from_group(catalogue_group("C2")).to_json()
+    plain = delooping(catalogue_group("C2")).to_json()
     assert "object_info" not in plain
 
 

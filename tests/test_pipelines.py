@@ -125,12 +125,12 @@ def test_central_and_sylow_conditions():
 
 def test_maximal_elementary_abelian_classes():
     S5 = catalogue_group("S5")
-    classes = maximal_elementary_abelian_classes(S5, 5)
+    classes = maximal_elementary_abelian_classes(S5, S5.elementary_abelian_p_subgroups(5))
     assert len(classes) == 1
     assert classes[0][0].order == 5
     assert len(classes[0]) == 6  # six Sylow 5-subgroups
     S4 = catalogue_group("S4")
-    classes2 = maximal_elementary_abelian_classes(S4, 2)
+    classes2 = maximal_elementary_abelian_classes(S4, S4.elementary_abelian_p_subgroups(2))
     assert all(H.order == 4 for cls in classes2 for H in cls)
 
 
@@ -169,7 +169,8 @@ def test_stmod_elementary_abelian_trivial(spec):
 
 def test_stmod_candidate_pool_contents():
     G = catalogue_group("S3")
-    pool = stmod_candidates(G, 3)
+    classes = maximal_elementary_abelian_classes(G, G.elementary_abelian_p_subgroups(3))
+    pool = stmod_candidates(G, galois_modg(G, 3), classes)
     names = [c.name for c in pool]
     assert names[0] == "C1"
     assert "C2" in names and "S3" in names
@@ -263,7 +264,7 @@ def test_stmod_full_catalogue_48():
 @pytest.mark.parametrize("spec,p,wname", [("S3", 3, "C2"), ("S5", 5, "C4"), ("D10", 5, "C2")])
 def test_stmod_rank_one_weyl_case(spec, p, wname):
     G = catalogue_group(spec)
-    classes = maximal_elementary_abelian_classes(G, p)
+    classes = maximal_elementary_abelian_classes(G, G.elementary_abelian_p_subgroups(p))
     assert len(classes) == 1 and classes[0][0].order == p
     r = galois_stmod(G, p)
     assert r.identification.match_name == wname
