@@ -7,10 +7,14 @@ Commands:
     stmod <G> -p <p>          Galois group of the stable module category
     hom <G> <H>               hom-groupoid components and automorphisms
     torsors <G> <H>           torsor classification
-    orbit-nerve <G> -p <p>    raw nerve presentation of the orbit category
+    orbit-nerve <G> -p <p>    raw nerve presentation of the skeletal orbit category
     stone <algebra-file>      spectrum and decompositions of a Boolean algebra
     pushout <F0> <F1> <F2> <left-map> <right-map>
     selftest                  run the invariant suites
+
+``stmod`` and ``orbit-nerve`` build the orbit category on one subgroup
+per conjugacy class (its skeleton): an equivalent category, whose nerve
+is homotopy equivalent to the full one.
 
 Exit codes: 0 success, 2 parse/usage errors, 3 size or bound errors,
 4 inconclusive identification under --require-identified.  JSON output is
@@ -156,7 +160,7 @@ def _cmd_orbit_nerve(args: argparse.Namespace) -> int:
         raise POrderError(f"prime {args.prime} does not divide |G| = {G.order}")
     cat, components, F = orbit_nerve(G, G.elementary_abelian_p_subgroups(args.prime))
     payload = {
-        "schema": 1,
+        "schema": 2,
         "input": {"group": args.group, "prime": args.prime},
         "objects": len(cat.objects),
         "morphisms": len(cat.morphisms),
@@ -164,7 +168,7 @@ def _cmd_orbit_nerve(args: argparse.Namespace) -> int:
         "presentation": F.spec_text(),
     }
     text = (
-        f"orbit category: {len(cat.objects)} objects, "
+        f"skeletal orbit category: {len(cat.objects)} objects, "
         f"{len(cat.morphisms)} morphisms, {components} nerve component(s)\n"
         f"pi1 presentation: {F.spec_text()}"
     )
@@ -292,7 +296,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, prime=True)
     p.set_defaults(func=_cmd_cochains)
 
-    p = sub.add_parser("stmod", help="Galois group of the stable module category")
+    p = sub.add_parser(
+        "stmod",
+        help="Galois group of the stable module category (nerve of the "
+        "skeletal orbit category: one object per conjugacy class)",
+    )
     p.add_argument("group")
     add_common(p, prime=True)
     p.add_argument(
@@ -313,7 +321,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(func=_cmd_torsors)
 
-    p = sub.add_parser("orbit-nerve", help="raw orbit-category nerve presentation")
+    p = sub.add_parser(
+        "orbit-nerve",
+        help="raw nerve presentation of the skeletal orbit category "
+        "(equivalent to the full one, so the same pi0 and pi1)",
+    )
     p.add_argument("group")
     add_common(p, prime=True)
     p.set_defaults(func=_cmd_orbit_nerve)

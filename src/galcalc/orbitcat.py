@@ -3,10 +3,14 @@
 A FinCategory stores its objects, morphisms, and a total composition
 table on composable pairs.  Orbit categories O_A(G) have one object G/H
 per subgroup H in a conjugation- and intersection-closed family A, with
-hom(G/H, G/K) = {gK : g^-1 H g <= K}.  The fundamental group of the
-nerve is presented with one generator per non-identity morphism, one
-relation per composable pair, and one trivializing relation per spanning
-tree edge.
+hom(G/H, G/K) = {gK : g^-1 H g <= K}.  Since G/H and G/K are isomorphic
+exactly when H and K are conjugate, the skeleton on one representative
+per conjugacy class (``conjugacy_class_representatives``) is equivalent
+to the full orbit category, and equivalent categories have
+homotopy-equivalent nerves; the stable module pipeline builds only the
+skeleton.  The fundamental group of the nerve is presented with one
+generator per non-identity morphism, one relation per composable pair,
+and one trivializing relation per spanning tree edge.
 """
 
 from __future__ import annotations
@@ -242,7 +246,9 @@ def close_family(
 ) -> SubgroupFamily:
     """Smallest family containing the seed, closed under conjugation by G
     and pairwise intersection; the trivial subgroup is removed iff
-    ``drop_trivial``."""
+    ``drop_trivial``.  Every element of G is a positive word in the
+    generators, so closing under conjugation by the generators closes
+    under conjugation by G."""
     current: dict[tuple, Subgroup] = {}
     queue = list(seed)
     while queue:
@@ -253,7 +259,7 @@ def close_family(
         current[key] = H
         if len(current) > MAX_FAMILY:
             raise SizeError("subgroup family closure blow-up")
-        for g in G.elements:
+        for g in G.generators:
             C = H.conjugate(g)
             if C.member_key() not in current:
                 queue.append(C)
@@ -267,6 +273,31 @@ def close_family(
     return SubgroupFamily(G, members)
 
 
+def conjugacy_class_representatives(family: SubgroupFamily) -> list[Subgroup]:
+    """One member per G-conjugacy class of the family: the first member
+    of its class in the family's (order, member_key) order.  Each class
+    is walked by conjugating with the generators of G."""
+    gens = family.group.generators
+    seen: set[tuple] = set()
+    reps: list[Subgroup] = []
+    for H in family.members:
+        key = H.member_key()
+        if key in seen:
+            continue
+        reps.append(H)
+        seen.add(key)
+        orbit = [H]
+        while orbit:
+            K = orbit.pop()
+            for g in gens:
+                C = K.conjugate(g)
+                key = C.member_key()
+                if key not in seen:
+                    seen.add(key)
+                    orbit.append(C)
+    return reps
+
+
 # -- orbit categories --------------------------------------------------------
 
 
@@ -274,7 +305,8 @@ def orbit_category(G: PermGroup, family: SubgroupFamily) -> FinCategory:
     """The orbit category on G/H for H in the family.
 
     One object per family member (conjugate members give isomorphic
-    objects); hom(G/H, G/K) = {gK : g^-1 H g <= K} with composition
+    objects, so a family of class representatives gives the skeleton);
+    hom(G/H, G/K) = {gK : g^-1 H g <= K} with composition
     (gK then g'L) = g g' L and identity eH.
     """
     if family.group is not G:
@@ -314,14 +346,15 @@ def orbit_category(G: PermGroup, family: SubgroupFamily) -> FinCategory:
     for i in range(len(subs)):
         ci = coset_index[i][G.identity]
         identity_of.append(mor_index[(i, i, ci)])
+    # compose f: G/H_i -> G/H_j only with the morphisms out of G/H_j
+    out_of: list[list[int]] = [[] for _ in subs]
+    for s, m in enumerate(morphisms):
+        out_of[m.src].append(s)
     table: dict[tuple[int, int], int] = {}
-    for (i, j, ci), f in mor_index.items():
-        g_rep = coset_reps[j][ci]
-        for (j2, l, cj), s in mor_index.items():
-            if j2 != j:
-                continue
-            comp_rep = g_rep * coset_reps[l][cj]
-            table[(s, f)] = mor_index[(i, l, coset_index[l][comp_rep])]
+    for f, (i, j, g) in enumerate(m.label for m in morphisms):
+        for s in out_of[j]:
+            _, l, h = morphisms[s].label
+            table[(s, f)] = mor_index[(i, l, coset_index[l][g * h])]
     return FinCategory(
         tuple(range(len(subs))),
         morphisms,

@@ -12,7 +12,9 @@ separably closed field k of characteristic p:
   category on elementary abelian p-subgroups, certified against finite
   candidates and cross-checked against whichever special-case formulas
   apply (central order-p element, Sylow triple intersections, rank-one
-  Weyl group).
+  Weyl group).  The nerve is built on the skeleton, one object per
+  conjugacy class of subgroups: an equivalent category, so its nerve is
+  homotopy equivalent and has the same fundamental group.
 
 Every report carries a fixed note that the arithmetic factor of the
 Galois group is omitted: the ground field is assumed separably closed.
@@ -40,9 +42,11 @@ from .fp import (
 )
 from .orbitcat import (
     FinCategory,
+    SubgroupFamily,
     close_family,
+    conjugacy_class_representatives,
     nerve_pi1_presentation,
-    reduced_orbit_category,
+    orbit_category,
 )
 from .perm import PermGroup, Subgroup, find_isomorphism
 
@@ -273,11 +277,19 @@ def galois_stmod(
 def orbit_nerve(
     G: PermGroup, subs: Sequence[Subgroup]
 ) -> tuple[FinCategory, int, FpGroup]:
-    """The reduced orbit category on the closed family generated by
-    ``subs``, its number of nerve components, and the nerve's pi1
-    presentation at the least object."""
+    """The skeleton of the reduced orbit category on the closed family
+    generated by ``subs``, its number of nerve components, and the
+    nerve's pi1 presentation at the least object.
+
+    The skeleton has one object per conjugacy class of the family, the
+    class's least member, so object 0 is the family's least member.  It
+    is equivalent to the orbit category on the whole family, and
+    equivalent categories have homotopy-equivalent nerves, so pi0 and
+    pi1 are those of the full nerve.
+    """
     family = close_family(G, subs, drop_trivial=True)
-    cat = reduced_orbit_category(G, family)
+    skeleton = SubgroupFamily(G, conjugacy_class_representatives(family))
+    cat = orbit_category(G, skeleton)
     F = nerve_pi1_presentation(cat, min(cat.objects))
     return cat, len(cat.object_components()), F
 
@@ -306,22 +318,16 @@ def stmod_cross_check(
         )
 
     checks = list(report.cross_checks)
+    modg_paths = []
     if has_central_order_p(G, p):
-        checks.append(
-            CrossCheck(
-                PATH_CENTRAL,
-                agrees(modg),
-                f"modg quotient has order {modg.order}",
-            )
-        )
+        modg_paths.append(PATH_CENTRAL)
     if sylow_triple_condition(G, p):
-        checks.append(
-            CrossCheck(
-                PATH_SYLOW,
-                agrees(modg),
-                f"modg quotient has order {modg.order}",
-            )
-        )
+        modg_paths.append(PATH_SYLOW)
+    if modg_paths:
+        # both cases compare against modg: one isomorphism test serves both
+        modg_agreed = agrees(modg)
+        detail = f"modg quotient has order {modg.order}"
+        checks += [CrossCheck(path, modg_agreed, detail) for path in modg_paths]
     if len(classes) == 1 and classes[0][0].order == p:
         target = weyl_group(G, classes[0][0])
         checks.append(

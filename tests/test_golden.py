@@ -6,6 +6,14 @@ hash to the sha256 recorded here, so any change to the default output
 The digests were taken from the code before homomorphism extension was
 unified into ``perm.extend_generator_map``.  A deliberate change of the
 output format updates them in the same commit.
+
+Four digests were retaken when ``stmod`` and ``orbit-nerve`` moved to
+the skeletal orbit category (one object per conjugacy class): the JSON
+of ``stmod S4 -p 2`` and ``stmod D8 -p 2``, whose ``presentation`` field
+now presents the same nerve pi1 from the smaller category, and both
+outputs of ``orbit-nerve S4 -p 2``, which reports the skeleton's objects
+and morphisms under JSON schema 2.  The ``stmod`` text digests did not
+change.
 """
 
 import hashlib
@@ -27,11 +35,11 @@ DIGESTS = {
     ),
     "stmod S4 -p 2": (
         "73f8ebc5f339dd49d24e26e94f24e7d99571fa272d339e52018933615ba4017b",
-        "fc9585051410aaebe84e0f30c619a38e02b19e6530b1104dd17c27f14aaafa52",
+        "fcc1a7c169cc0bd8f00127487b05b7bb198e537591e1ab9a89ccfb8115c6d53c",
     ),
     "stmod D8 -p 2": (
         "b40f549d4effb21fd4aaf2caf99f01daa70770c28f7702b0f76de1613064984e",
-        "322c0ebe3b2e0daddba687c907878d4bb9adba9f18566e5c69cf5946552b4033",
+        "fe381e8dedfdebac7bb688afcad53eb785411d2efc57d3d1abdceecc2343cf0a",
     ),
     "hom S3 D8": (
         "a1e8540d610a582c47acb5ac41c7309973af64075c27cff691f8a78595bd4ed4",
@@ -46,8 +54,8 @@ DIGESTS = {
         "c15d95b4ac9eab2a777a8909aa645d9089a311c2ba1e439e676f7f9bf6f25584",
     ),
     "orbit-nerve S4 -p 2": (
-        "5ea73b98876c3bff3727f5f693a28948c6b59e5e14c2ef70ffe542a84d189629",
-        "d52c41d3134dc73e605d0b4061e6cb8fe90e8f163f6b7051a1812bb0de74cc3f",
+        "dcfed2ea5b926bf9f470c7fc241c7c037c945c159eb98e9e775ab89c0602e71b",
+        "09feb7e971f07016d1fb94dfe5f5526fc531efd623aa04877b514ddbcd02f4b2",
     ),
     "pushout fp:1: fp:2:aa,bbb,ababab fp:1:aa a a": (
         "7dc131e6977a8a396794ef75315f15d5ce6796bab0e69dd630ac64771932886a",

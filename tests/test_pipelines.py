@@ -67,6 +67,20 @@ def test_s7_quotients_within_the_order_bound():
     assert time.perf_counter() - start < 10.0
 
 
+def test_stmod_north_star_cases_on_the_skeleton():
+    # the full nerve gives these answers in minutes (S6 at 3 alone took
+    # over 200 s); the skeletal orbit category gives them in seconds
+    cases = [("S5", 2, "C1"), ("A5", 2, "C3"), ("S6", 3, "D8"),
+             ("D24", 2, "C1"), ("S6", 5, "C4")]
+    start = time.perf_counter()
+    for spec, p, name in cases:
+        r = galois_stmod(catalogue_group(spec), p)
+        assert r.identification.status == "Identified", (spec, p)
+        assert r.identification.match_name == name, (spec, p)
+        assert all(c.agreed for c in r.cross_checks), (spec, p)
+    assert time.perf_counter() - start < 10.0
+
+
 def test_modg_requires_prime():
     with pytest.raises(ValueError):
         galois_modg(catalogue_group("S3"), 4)
