@@ -10,14 +10,23 @@ Commands:
     orbit-nerve <G> -p <p>    raw nerve presentation of the skeletal orbit category
     stone <algebra-file>      spectrum and decompositions of a Boolean algebra
     pushout <F0> <F1> <F2> <left-map> <right-map>
+                              van Kampen pushout F1 *_F0 F2
     selftest                  run the invariant suites
 
 ``stmod`` and ``orbit-nerve`` build the orbit category on one subgroup
 per conjugacy class (its skeleton): an equivalent category, whose nerve
 is homotopy equivalent to the full one.
 
+``pushout`` proves an infinite pushout ``Infinite`` without enumerating
+it, from a free factor in its abelianization or from the amalgam
+certificate (finite factors, injective legs, neither onto); the text
+line and the ``certificate`` field of its JSON (schema 2, null when no
+certificate applies) name the certificate and its numbers.  Infinite is
+a certified answer, not a hit bound.
+
 Exit codes: 0 success, 2 parse/usage errors, 3 size or bound errors,
-4 inconclusive identification under --require-identified.  JSON output is
+4 under --require-identified for any status other than Identified
+(Inconclusive, OrderExceeded or Infinite).  JSON output is
 byte-deterministic for fixed inputs and bounds.
 """
 
@@ -45,6 +54,7 @@ from .groupoid import hom_groupoid
 from .gset import classify_torsors
 from .perm import DEFAULT_MAX_ORDER, PermGroup
 from .pipelines import (
+    CERT_FREE_RANK,
     cochains_report,
     galois_stmod,
     modg_report,
@@ -245,8 +255,20 @@ def _cmd_pushout(args: argparse.Namespace) -> int:
         f"simplified: {report.simplified.spec_text()}",
         f"abelianization invariant factors: {list(report.invariant_factors)}",
     ]
+    cert = report.certificate
     if ident.status == "Identified":
         lines.append(f"identified {ident.match_name} (order {ident.certified_order})")
+    elif cert is not None and cert.kind == CERT_FREE_RANK:
+        lines.append(
+            f"identification: {ident.status} "
+            f"(free rank: the invariant factor at position {cert.zero_factor} is 0)"
+        )
+    elif cert is not None:
+        (a, b, c), (i, j) = cert.orders, cert.indices
+        lines.append(
+            f"identification: {ident.status} (amalgam: |A| = {a}, |B| = {b}, "
+            f"|C| = {c}, [A:f(C)] = {i}, [B:g(C)] = {j})"
+        )
     else:
         lines.append(f"identification: {ident.status}")
     _emit(args, report.to_json(), "\n".join(lines))

@@ -12,6 +12,7 @@ pushouts of presentations.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -312,7 +313,7 @@ class _CosetTable:
         self.table[alpha][c] = n
         self.table[n][c ^ 1] = alpha
 
-    def _merge(self, k: int, lam: int, queue: list[int]) -> None:
+    def _merge(self, k: int, lam: int, queue: deque[int]) -> None:
         phi, psi = self.rep(k), self.rep(lam)
         if phi != psi:
             mu, nu = min(phi, psi), max(phi, psi)
@@ -320,10 +321,10 @@ class _CosetTable:
             queue.append(nu)
 
     def coincidence(self, alpha: int, beta: int) -> None:
-        queue: list[int] = []
+        queue: deque[int] = deque()
         self._merge(alpha, beta, queue)
         while queue:
-            y = queue.pop(0)
+            y = queue.popleft()
             for x in range(self.ncols):
                 d = self.table[y][x]
                 if d is None:
@@ -526,6 +527,7 @@ def simplify(F: FpGroup) -> FpGroup:
 IDENTIFIED = "Identified"
 INCONCLUSIVE = "Inconclusive"
 ORDER_EXCEEDED = "OrderExceeded"
+INFINITE = "Infinite"
 
 
 @dataclass(frozen=True)
@@ -536,7 +538,10 @@ class IdentificationResult:
     surjection onto a candidate of certified equal order exists;
     Inconclusive when the order could not be certified or no candidate
     matched; OrderExceeded when the certified order is larger than every
-    candidate supplied.
+    candidate supplied; Infinite when a certificate proves the group
+    infinite (``certified_order`` is then None).  ``identify_finite``
+    never returns Infinite: only ``pipelines.van_kampen_pushout`` does,
+    and its report names the certificate.
     """
 
     status: str

@@ -364,14 +364,6 @@ def orbit_category(G: PermGroup, family: SubgroupFamily) -> FinCategory:
     )
 
 
-def reduced_orbit_category(G: PermGroup, family: SubgroupFamily) -> FinCategory:
-    """Orbit category on the family with the trivial subgroup removed."""
-    nontrivial = [H for H in family.members if H.order > 1]
-    if not nontrivial:
-        raise EmptyFamily("no nontrivial subgroups in family")
-    return orbit_category(G, SubgroupFamily(G, nontrivial))
-
-
 # -- nerve invariants ---------------------------------------------------------
 
 

@@ -16,6 +16,10 @@ separably closed field k of characteristic p:
   conjugacy class of subgroups: an equivalent category, so its nerve is
   homotopy equivalent and has the same fundamental group.
 
+``van_kampen_pushout`` wraps the pushout of presentations with its
+abelianization and either an infiniteness certificate (free rank or
+amalgam) or a bounded identification of the finite answer.
+
 Every report carries a fixed note that the arithmetic factor of the
 Galois group is omitted: the ground field is assumed separably closed.
 """
@@ -33,6 +37,7 @@ from .fp import (
     FpGroup,
     FpMap,
     INCONCLUSIVE,
+    INFINITE,
     IdentificationResult,
     abelianization,
     coset_enumeration,
@@ -359,22 +364,61 @@ def cochains_report(G: PermGroup, p: int) -> GaloisReport:
     )
 
 
+CERT_FREE_RANK = "FreeRank"
+CERT_AMALGAM = "Amalgam"
+
+
+@dataclass(frozen=True)
+class InfinitenessCertificate:
+    """Why a pushout A *_C B is infinite.
+
+    ``FreeRank``: its abelianization has a free factor, the 0 at position
+    ``zero_factor`` of the invariant factors.  ``Amalgam``: A, B and C are
+    finite of the ``orders`` |A|, |B|, |C| (coset enumeration), both legs
+    kill C's relators, the images of C have the ``indices`` [A : f(C)]
+    and [B : g(C)] with |A| / [A : f(C)] = |B| / [B : g(C)] = |C|, so both
+    legs are injective, and both indices exceed 1, so neither leg is onto.
+    An amalgam of finite groups along injective, non-surjective legs is
+    infinite by its normal form (Serre, *Trees*, I.1).
+    """
+
+    kind: str
+    zero_factor: Optional[int] = None
+    orders: Optional[tuple[int, int, int]] = None
+    indices: Optional[tuple[int, int]] = None
+
+    def to_json(self) -> dict:
+        return {
+            "kind": self.kind,
+            "zero_factor": self.zero_factor,
+            "orders": None if self.orders is None else list(self.orders),
+            "indices": None if self.indices is None else list(self.indices),
+        }
+
+
 @dataclass(frozen=True)
 class VanKampenReport:
-    """Pushout presentation with abelianization and bounded identification."""
+    """Pushout presentation with abelianization and bounded identification.
+
+    ``certificate`` is set exactly when the identification is Infinite.
+    """
 
     presentation: FpGroup
     simplified: FpGroup
     invariant_factors: tuple[int, ...]
     identification: IdentificationResult
+    certificate: Optional[InfinitenessCertificate] = None
 
     def to_json(self) -> dict:
         return {
-            "schema": 1,
+            "schema": 2,
             "presentation": self.presentation.spec_text(),
             "simplified": self.simplified.spec_text(),
             "abelianization": list(self.invariant_factors),
             "identification": self.identification.to_json(),
+            "certificate": None
+            if self.certificate is None
+            else self.certificate.to_json(),
         }
 
 
@@ -386,16 +430,27 @@ def van_kampen_pushout(
 ) -> VanKampenReport:
     """Pushout of presentations, wrapped with the standard certificates.
 
-    Delegates to the presentation pushout, then reports the
-    abelianization and a bounded identification against the catalogue of
-    the certified order (when the order certifies at or below the
-    candidate bound).  One coset enumeration certifies the order and the
-    identification reuses it; when that run hits the coset bound the
-    identification is Inconclusive.
+    Delegates to the presentation pushout and reports its
+    abelianization.  A free factor there, or the amalgam certificate on
+    the legs, proves the pushout Infinite without enumerating it.
+    Otherwise one coset enumeration certifies the order, and the
+    identification against the catalogue of that order (when it is at
+    most the candidate bound) reuses it; when that run hits the coset
+    bound the identification is Inconclusive.
     """
     P = pushout(left, right)
     Ps = simplify(P)
     factors = tuple(abelianization(P))
+    if 0 in factors:
+        certificate = InfinitenessCertificate(
+            CERT_FREE_RANK, zero_factor=factors.index(0)
+        )
+    else:
+        certificate = _amalgam_certificate(left, right, max_cosets)
+    if certificate is not None:
+        return VanKampenReport(
+            P, Ps, factors, IdentificationResult(status=INFINITE), certificate
+        )
     try:
         order = coset_enumeration(Ps, (), max_cosets=max_cosets)
     except CosetLimitExceeded:
@@ -411,6 +466,51 @@ def van_kampen_pushout(
         ]
     ident = identify_finite(Ps, candidates, presimplify=False, certified_order=order)
     return VanKampenReport(P, Ps, factors, ident)
+
+
+def _amalgam_certificate(
+    left: FpMap, right: FpMap, max_cosets: int
+) -> Optional[InfinitenessCertificate]:
+    """The Amalgam certificate of the pushout of ``left`` and ``right``,
+    or None when one of its checks fails or an enumeration hits the
+    coset bound.
+
+    The checks run in order and stop at the first failure: C's
+    abelianization is finite (else enumerating C would run to the
+    bound); |A|, |B| and |C| certify; every relator of C maps to 1 in A
+    and in B (``FpMap`` only checks this on abelianizations); both images
+    of C have order |C|; and both have index greater than 1.
+    """
+    C = left.source
+    if 0 in abelianization(C):
+        return None
+    legs = (left, right)
+    try:
+        order_c = coset_enumeration(C, (), max_cosets=max_cosets)
+        orders = [
+            coset_enumeration(leg.target, (), max_cosets=max_cosets)
+            for leg in legs
+        ]
+        for leg, order in zip(legs, orders):
+            for r in C.relators:
+                image = (leg.apply(r),)
+                if coset_enumeration(leg.target, image, max_cosets=max_cosets) != order:
+                    return None
+        indices = [
+            coset_enumeration(leg.target, leg.images, max_cosets=max_cosets)
+            for leg in legs
+        ]
+    except CosetLimitExceeded:
+        return None
+    if any(order // index != order_c for order, index in zip(orders, indices)):
+        return None
+    if min(indices) == 1:
+        return None
+    return InfinitenessCertificate(
+        CERT_AMALGAM,
+        orders=(orders[0], orders[1], order_c),
+        indices=(indices[0], indices[1]),
+    )
 
 
 def _require_prime(p: int) -> None:

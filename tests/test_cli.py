@@ -137,15 +137,23 @@ def test_require_identified(capsys):
 
 
 def test_require_identified_inconclusive_exits_4(capsys):
-    # gluing two copies of Z over a trivially-mapped corner leaves a free
-    # group: coset enumeration cannot certify, so identification is
-    # inconclusive and the flag demands exit 4
+    # gluing two copies of Z over a trivially-mapped corner leaves the free
+    # group F2: its free rank certifies it Infinite, which is not
+    # Identified, so the flag demands exit 4
     code, out, _ = run_cli(
         capsys, "pushout", "fp:1:", "fp:1:", "fp:1:", "1", "1",
         "--max-cosets", "200", "--require-identified",
     )
     assert code == 4
-    assert "Inconclusive" in out
+    assert "identification: Infinite (free rank" in out
+    # the A4 gluing is finite, but a coset bound below its order leaves it
+    # Inconclusive, which also exits 4
+    code, out, _ = run_cli(
+        capsys, "pushout", "fp:1:", "fp:2:aa,bbb,ababab", "fp:1:aa", "a", "a",
+        "--max-cosets", "8", "--require-identified",
+    )
+    assert code == 4
+    assert "identification: Inconclusive" in out
 
 
 def test_usage_error_missing_prime(capsys):

@@ -14,6 +14,13 @@ now presents the same nerve pi1 from the smaller category, and both
 outputs of ``orbit-nerve S4 -p 2``, which reports the skeleton's objects
 and morphisms under JSON schema 2.  The ``stmod`` text digests did not
 change.
+
+Three digests were retaken when ``pushout`` learned to certify infinite
+pushouts: both outputs of the free product ``C2 * C3`` (``pushout fp:0:
+fp:1:aa fp:1:aaa - -``), now ``Infinite`` by the amalgam certificate
+instead of ``Inconclusive`` at the coset bound, and the JSON of the A4
+gluing, whose report moved to schema 2 with a ``certificate`` field
+(null there).  The A4 text digest did not change.
 """
 
 import hashlib
@@ -59,11 +66,11 @@ DIGESTS = {
     ),
     "pushout fp:1: fp:2:aa,bbb,ababab fp:1:aa a a": (
         "7dc131e6977a8a396794ef75315f15d5ce6796bab0e69dd630ac64771932886a",
-        "383cdf520c1c703a67dd7911d5df1402fee687a20bae6655bbe51d770890261c",
+        "ad7603b24017a847715866179a8718a2cffe5cee2c02075de3e80e0b16fbf32d",
     ),
     "pushout fp:0: fp:1:aa fp:1:aaa - -": (
-        "528807f2fdea96d87b7727f53b25fdae192077f399342af1ee4d3e4232e11669",
-        "a63af9f4c45f304926b8b8544ca0f69f6fdb5d157dc36d5ed82a4573f9fadf49",
+        "69ba867d9a5599006e9673e022ca13042326c4fe3896ce811bb2ec83c7c84b3d",
+        "0b4da1a8332001d85502852f629572771aa0e35f508936ebf77cdfd9d7e751f2",
     ),
 }
 

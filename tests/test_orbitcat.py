@@ -15,7 +15,6 @@ from galcalc.orbitcat import (
     close_family,
     nerve_pi1_presentation,
     orbit_category,
-    reduced_orbit_category,
 )
 
 
@@ -80,11 +79,13 @@ def test_orbit_category_single_object_cases():
 def test_reduced_orbit_category_v4():
     V4 = catalogue_group("C2xC2")
     fam = close_family(V4, V4.elementary_abelian_p_subgroups(2), drop_trivial=True)
-    C = reduced_orbit_category(V4, fam)
+    C = orbit_category(V4, fam)
     C.validate()
     assert len(C.objects) == 4  # three lines and the plane
     with pytest.raises(EmptyFamily):
-        reduced_orbit_category(V4, close_family(V4, [V4.trivial_subgroup()]))
+        orbit_category(
+            V4, close_family(V4, [V4.trivial_subgroup()], drop_trivial=True)
+        )
 
 
 def _fixed_points_of_H_on_cosets(G, H, K):
@@ -167,7 +168,7 @@ def test_nerve_pi1_basepoint_independence():
     # group; the S5 orbit category at p = 5 has 6 objects and pi1 = C4
     S5 = catalogue_group("S5")
     fam = close_family(S5, S5.elementary_abelian_p_subgroups(5), drop_trivial=True)
-    C = reduced_orbit_category(S5, fam)
+    C = orbit_category(S5, fam)
     assert len(C.objects) == 6
     C4 = catalogue_group("C4")
     for bp in C.objects:
@@ -177,7 +178,7 @@ def test_nerve_pi1_basepoint_independence():
     # and on a small all-trivial example every basepoint certifies order 1
     V4 = catalogue_group("C2xC2")
     fam = close_family(V4, V4.elementary_abelian_p_subgroups(2), drop_trivial=True)
-    C = reduced_orbit_category(V4, fam)
+    C = orbit_category(V4, fam)
     for bp in C.objects:
         assert coset_enumeration(simplify(nerve_pi1_presentation(C, bp))) == 1
 

@@ -347,12 +347,16 @@ def test_van_kampen_enumerates_each_pushout_once(monkeypatch):
     monkeypatch.setattr(fp, "coset_enumeration", counting)
     monkeypatch.setattr(pipelines, "coset_enumeration", counting)
     triv = FpGroup(0, ())
+    Z = FpGroup(1, ())
     C2 = FpGroup(1, ((1, 1),))
     C3 = FpGroup(1, ((1, 1, 1),))
-    free = van_kampen_pushout(FpMap(triv, C2, ()), FpMap(triv, C3, ()), max_cosets=500)
-    assert free.identification.status == "Inconclusive"
-    assert free.identification.certified_order is None
-    assert len(calls) == 1
-    glued = van_kampen_pushout(FpMap(C3, C3, ((1,),)), FpMap(C3, C3, ((1,),)))
+    # a gluing over Z fails the amalgam certificate's guard before any
+    # enumeration, so the pushout itself is enumerated exactly once
+    glued = van_kampen_pushout(FpMap(Z, C3, ((1,),)), FpMap(Z, C3, ((-1,),)))
     assert glued.identification.certified_order == 3
-    assert len(calls) == 2
+    assert len(calls) == 1
+    # C2 * C3 is certified Infinite from enumerations of its factors only
+    free = van_kampen_pushout(FpMap(triv, C2, ()), FpMap(triv, C3, ()), max_cosets=500)
+    assert free.identification.status == "Infinite"
+    assert free.identification.certified_order is None
+    assert all(args[0] in (triv, C2, C3) for args in calls[1:])
