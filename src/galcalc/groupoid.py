@@ -181,13 +181,14 @@ def hom_groupoid(G: PermGroup, H: PermGroup) -> HomGroupoidReport:
     """Hom(BG, BH) by the structural formula.
 
     Components are conjugacy classes of homomorphisms; the automorphism
-    group at a representative f is the centralizer in H of f(G).
+    group at a representative f is the centralizer in H of f(G), which is
+    the centralizer of the generator images f(s).
     """
     classes = hom_conjugacy_classes(G, H)
     components = []
     for cls in classes:
         rep = cls[0]
-        cent = H.centralizer(rep.image_elements())
+        cent = H.centralizer(rep.gen_images)
         components.append((rep, cent))
     return HomGroupoidReport(G, H, tuple(components))
 

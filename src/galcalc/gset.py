@@ -4,8 +4,10 @@ A GSet stores a left action of a PermGroup on a finite carrier.  The
 action maps of all group elements are built from generator images by
 ``perm.extend_generator_map``, the one routine that extends generator
 images and proves them multiplicative.  Torsors carry an auxiliary
-commuting action; torsor isomorphism testing is brute force over the
-carrier bijections compatible with both actions.
+commuting action.  Torsors are classified in one pass by a canonical
+form, the least transport of the base action along the automorphisms of
+the auxiliary action; the pairwise search over carrier bijections
+compatible with both actions is kept as the oracle.
 """
 
 from __future__ import annotations
@@ -279,27 +281,25 @@ def is_torsor(T: TorsorCandidate) -> bool:
     return True
 
 
-def torsor_from_hom(phi: GroupHom) -> TorsorCandidate:
-    """The target-group torsor induced by a homomorphism.
+def _right_regular(Gp: PermGroup) -> GSet:
+    """Gp on its elements by right multiplication, stored as h . x = x h^-1."""
+    index = {g: i for i, g in enumerate(Gp.elements)}
+    gen_images = [[index[x * s.inverse()] for x in index] for s in Gp.generators]
+    return GSet(Gp, Gp.elements, gen_images)
 
-    The carrier is the target group; the source acts on the left through
-    the homomorphism, the target on the right.  Right multiplication is
-    stored as the left action h . x = x h^-1.
-    """
-    G, Gp = phi.source, phi.target
-    els = Gp.elements
-    index = {g: i for i, g in enumerate(els)}
-    base = GSet(
-        G,
-        els,
-        [[index[phi(gen) * x] for x in els] for gen in G.generators],
-    )
-    aux = GSet(
-        Gp,
-        els,
-        [[index[x * gen.inverse()] for x in els] for gen in Gp.generators],
-    )
-    return TorsorCandidate(base, aux)
+
+def _induced_base(phi: GroupHom, aux: GSet) -> GSet:
+    """The source acting through phi by left multiplication on aux's carrier."""
+    index = {g: i for i, g in enumerate(aux.points)}
+    gen_images = [[index[phi(s) * x] for x in index] for s in phi.source.generators]
+    return GSet(phi.source, aux.points, gen_images)
+
+
+def torsor_from_hom(phi: GroupHom) -> TorsorCandidate:
+    """The target-group torsor induced by a homomorphism: the source acts
+    on the target's elements on the left through phi, the target on the right."""
+    aux = _right_regular(phi.target)
+    return TorsorCandidate(_induced_base(phi, aux), aux)
 
 
 def torsor_isomorphic(T1: TorsorCandidate, T2: TorsorCandidate) -> bool:
@@ -349,56 +349,51 @@ def torsor_isomorphic(T1: TorsorCandidate, T2: TorsorCandidate) -> bool:
     return False
 
 
+def _aux_automorphisms(aux: GSet) -> list[tuple[list[int], list[int]]]:
+    """The bijections psi_y(a . 0) = a . y of the carrier with their
+    inverses, one per point y: for a free transitive aux, its automorphisms."""
+    maps = [aux.action_map(a) for a in aux.group.elements]
+    return [
+        ([v for _, v in sorted((m[0], m[y]) for m in maps)],
+         [u for _, u in sorted((m[y], m[0]) for m in maps)])
+        for y in range(len(aux.points))
+    ]
+
+
+def _least_transport(base: GSet, autos) -> tuple[int, ...]:
+    """Least psi o s o psi^-1 over ``autos``, s running over the base
+    generator maps, flattened one generator map after another."""
+    gms = base._gen_maps
+    return min(tuple([psi[gm[x]] for gm in gms for x in inv]) for psi, inv in autos)
+
+
 def classify_torsors(G: PermGroup, Gp: PermGroup) -> list[TorsorCandidate]:
     """Isomorphism classes of Gp-torsors in the category of finite G-sets.
 
-    Torsors are enumerated through homomorphisms (every torsor is
-    isomorphic to one so induced, the carrier being trivializable to the
-    right-regular Gp-set); the classification into isomorphism classes is
-    brute force over action-compatible carrier bijections, bucketed by
-    the cycle types of the base action.
+    Every torsor is isomorphic to one induced by a homomorphism, and these
+    share one right-regular aux Gp-set.  A bijection commuting with aux is
+    psi_y(a . 0) = a . y for y its image of 0; these psi_y are the
+    automorphisms of aux.  So two candidates are isomorphic exactly when
+    some psi_y conjugates the base generator maps of one onto the other's,
+    that is when their least conjugates over all y, the canonical keys,
+    are equal.  One pass over ``homomorphisms(G, Gp)`` collects the keys;
+    each class is represented by its first torsor in that order.
     """
     if Gp.order > TORSOR_CARRIER_BOUND:
         raise SizeError(f"torsor carrier bound {TORSOR_CARRIER_BOUND} exceeded")
-    torsors = [torsor_from_hom(f) for f in homomorphisms(G, Gp)]
-    if not all(is_torsor(T) for T in torsors):
+    aux = _right_regular(Gp)
+    homs = homomorphisms(G, Gp)
+    torsors = [TorsorCandidate(_induced_base(f, aux), aux) for f in homs]
+    # the candidates share aux and the carrier size, so one check covers all
+    if not is_torsor(torsors[0]):
         raise CertificateError(
             "a torsor induced by a homomorphism is not free and transitive"
         )
-    buckets: dict[tuple, list[TorsorCandidate]] = {}
-    order = []
+    autos = _aux_automorphisms(aux)
+    classes: dict[tuple[int, ...], TorsorCandidate] = {}
     for T in torsors:
-        key = tuple(
-            _map_cycle_type(T.base.action_map(g)) for g in G.elements
-        )
-        if key not in buckets:
-            buckets[key] = []
-            order.append(key)
-        buckets[key].append(T)
-    classes: list[TorsorCandidate] = []
-    for key in order:
-        reps: list[TorsorCandidate] = []
-        for T in buckets[key]:
-            if not any(torsor_isomorphic(T, R) for R in reps):
-                reps.append(T)
-        classes.extend(reps)
-    return classes
-
-
-def _map_cycle_type(m: tuple[int, ...]) -> tuple[int, ...]:
-    seen = [False] * len(m)
-    lengths = []
-    for s in range(len(m)):
-        if seen[s]:
-            continue
-        ln = 0
-        x = s
-        while not seen[x]:
-            seen[x] = True
-            x = m[x]
-            ln += 1
-        lengths.append(ln)
-    return tuple(sorted(lengths))
+        classes.setdefault(_least_transport(T.base, autos), T)
+    return list(classes.values())
 
 
 def subterminal_boolean_algebra(X: GSet) -> BooleanAlgebra:

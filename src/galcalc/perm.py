@@ -645,9 +645,6 @@ class GroupHom:
     def __repr__(self) -> str:
         return f"GroupHom({self.source!r} -> {self.target!r}, {list(self.gen_images)})"
 
-    def image_elements(self) -> tuple[Perm, ...]:
-        return tuple(sorted(set(self._map.values())))
-
     def kernel(self) -> Subgroup:
         ident = self.target.identity
         return Subgroup(

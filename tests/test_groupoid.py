@@ -170,3 +170,20 @@ def test_hom_groupoid_json_schema():
 )
 def test_formula_matches_oracle_spotchecks(a, b):
     assert hom_groupoids_agree(catalogue_group(a), catalogue_group(b))
+
+
+def test_centralizer_of_generator_images_is_centralizer_of_image():
+    # x commutes with f(G) exactly when it commutes with every f(s); the
+    # centralizer of the whole image is the oracle
+    from galcalc.catalogue import standard_catalogue
+    from galcalc.perm import homomorphisms
+
+    specs = standard_catalogue(8)
+    for a in specs:
+        for b in specs:
+            G, H = catalogue_group(a), catalogue_group(b)
+            for f in homomorphisms(G, H):
+                image = {f(g) for g in G.elements}
+                assert H.centralizer(f.gen_images) == H.centralizer(image), (a, b)
+            for rep, cent in hom_groupoid(G, H).components:
+                assert cent == H.centralizer({rep(g) for g in G.elements}), (a, b)

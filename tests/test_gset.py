@@ -3,8 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from galcalc.catalogue import catalogue_group
+from galcalc.catalogue import catalogue_group, standard_catalogue
 from galcalc.errors import IncompatibleGroups
 from galcalc.gset import (
     GSet,
@@ -19,6 +21,7 @@ from galcalc.gset import (
     torsor_from_hom,
     torsor_isomorphic,
 )
+from galcalc.gset import _aux_automorphisms, _least_transport
 from galcalc.perm import hom_conjugacy_classes, homomorphisms
 from galcalc.stone import spectrum
 
@@ -165,6 +168,99 @@ def test_classify_torsors_examples():
     assert len(classify_torsors(catalogue_group("C2"), catalogue_group("C2"))) == 2
     assert len(classify_torsors(catalogue_group("C2"), catalogue_group("S3"))) == 2
     assert len(classify_torsors(catalogue_group("S3"), catalogue_group("C1"))) == 1
+
+
+def _bucketed_pairwise_classes(G, Gp):
+    """The pairwise classification: induced torsors bucketed by the cycle
+    types of the base action, then compared by ``torsor_isomorphic``."""
+    torsors = [torsor_from_hom(f) for f in homomorphisms(G, Gp)]
+    assert all(is_torsor(T) for T in torsors)
+    buckets = {}
+    for T in torsors:
+        key = tuple(_map_cycle_type(T.base.action_map(g)) for g in G.elements)
+        buckets.setdefault(key, []).append(T)
+    classes = []
+    for bucket in buckets.values():
+        reps = []
+        for T in bucket:
+            if not any(torsor_isomorphic(T, R) for R in reps):
+                reps.append(T)
+        classes.extend(reps)
+    return classes
+
+
+def _map_cycle_type(m):
+    seen = [False] * len(m)
+    lengths = []
+    for s in range(len(m)):
+        if seen[s]:
+            continue
+        ln = 0
+        x = s
+        while not seen[x]:
+            seen[x] = True
+            x = m[x]
+            ln += 1
+        lengths.append(ln)
+    return tuple(sorted(lengths))
+
+
+def _torsor_key(T):
+    # the canonical key classify_torsors gives a torsor
+    return _least_transport(T.base, _aux_automorphisms(T.aux))
+
+
+def _rep_keys(classes):
+    return sorted(T.base._gen_maps for T in classes)
+
+
+SPECS_8 = standard_catalogue(8)
+SPECS_12 = standard_catalogue(12)
+
+
+@pytest.mark.parametrize("a", SPECS_8)
+def test_classify_torsors_matches_bucketed_pairwise_oracle(a):
+    G = catalogue_group(a)
+    for b in SPECS_8:
+        H = catalogue_group(b)
+        classes = classify_torsors(G, H)
+        oracle = _bucketed_pairwise_classes(G, H)
+        assert len(classes) == len(oracle), (a, b)
+        assert _rep_keys(classes) == _rep_keys(oracle), (a, b)
+
+
+def test_classify_torsors_represents_each_class_by_its_first_torsor():
+    G, H = catalogue_group("C4"), catalogue_group("D8")
+    torsors = [torsor_from_hom(f) for f in homomorphisms(G, H)]
+    keys = [_torsor_key(T) for T in torsors]
+    firsts = [T for i, T in enumerate(torsors) if keys[i] not in keys[:i]]
+    assert [T.base._gen_maps for T in classify_torsors(G, H)] == [
+        T.base._gen_maps for T in firsts
+    ]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(SPECS_12),
+    st.sampled_from(SPECS_12),
+    st.integers(min_value=0),
+    st.integers(min_value=0),
+    st.one_of(st.none(), st.integers(min_value=0)),
+)
+def test_torsor_key_equal_iff_isomorphic(a, b, i, j, conj):
+    G, H = catalogue_group(a), catalogue_group(b)
+    homs = homomorphisms(G, H)
+    f1 = homs[i % len(homs)]
+    if conj is None:
+        f2 = homs[j % len(homs)]
+    else:
+        # a conjugate of f1, so that isomorphic pairs are drawn often
+        x = H.elements[conj % H.order]
+        xi = x.inverse()
+        images = tuple(x * img * xi for img in f1.gen_images)
+        f2 = next(f for f in homs if f.gen_images == images)
+    T1, T2 = torsor_from_hom(f1), torsor_from_hom(f2)
+    assert (_torsor_key(T1) == _torsor_key(T2)) == torsor_isomorphic(T1, T2)
 
 
 def test_classify_torsors_carrier_bound():
