@@ -195,8 +195,10 @@ def _explicit_group(spec: str, max_order: int) -> PermGroup:
     return PermGroup(degree, gens, name=spec, max_order=max_order)
 
 
-def standard_catalogue(max_order: int) -> list[str]:
-    """Deterministic list of catalogue specs with order <= max_order.
+def standard_catalogue(max_order: int, exact: bool = False) -> list[str]:
+    """Deterministic list of catalogue specs with order <= max_order, or
+    only those of order exactly max_order when ``exact``; no group is
+    built.
 
     One spec per isomorphism type: cyclics, invariant-factor abelian
     products with up to four factors, dihedrals from D6 up, symmetric and
@@ -233,7 +235,7 @@ def standard_catalogue(max_order: int) -> list[str]:
         if q <= max_order:
             names.append((q, f"Q{q}"))
     names.sort()
-    return [name for _, name in names]
+    return [name for n, name in names if not exact or n == max_order]
 
 
 _catalogue_cache: dict[tuple[str, int], PermGroup] = {}

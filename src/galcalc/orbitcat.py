@@ -209,25 +209,21 @@ class SubgroupFamily:
 
     def __init__(self, group: PermGroup, members: Iterable[Subgroup]):
         self.group = group
-        dedup: dict[tuple, Subgroup] = {}
+        dedup: dict[int, Subgroup] = {}
         for H in members:
             if H.parent is not group:
                 raise ValueError("family member from a different group")
-            dedup.setdefault(H.member_key(), H)
+            dedup.setdefault(H.bits, H)
         self.members: tuple[Subgroup, ...] = tuple(
             sorted(dedup.values(), key=lambda s: (s.order, s.member_key()))
         )
-        keys = set(dedup.keys())
         self.closed_under_conjugation = all(
-            H.conjugate(g).member_key() in keys
+            H.conjugate(g).bits in dedup
             for H in self.members
             for g in group.generators
         )
-        self.closed_under_intersection = all(
-            A.intersection(B).member_key() in keys
-            for A in self.members
-            for B in self.members
-        )
+        pairs = ((a, b) for a in dedup for b in dedup)
+        self.closed_under_intersection = all(a & b in dedup for a, b in pairs)
         self.contains_trivial = any(H.order == 1 for H in self.members)
 
     def __len__(self) -> int:
@@ -249,24 +245,22 @@ def close_family(
     ``drop_trivial``.  Every element of G is a positive word in the
     generators, so closing under conjugation by the generators closes
     under conjugation by G."""
-    current: dict[tuple, Subgroup] = {}
+    current: dict[int, Subgroup] = {}
     queue = list(seed)
     while queue:
         H = queue.pop()
-        key = H.member_key()
-        if key in current:
+        if H.bits in current:
             continue
-        current[key] = H
+        current[H.bits] = H
         if len(current) > MAX_FAMILY:
             raise SizeError("subgroup family closure blow-up")
         for g in G.generators:
             C = H.conjugate(g)
-            if C.member_key() not in current:
+            if C.bits not in current:
                 queue.append(C)
-        for other in list(current.values()):
-            I = H.intersection(other)
-            if I.member_key() not in current:
-                queue.append(I)
+        for other in list(current):
+            if H.bits & other not in current:
+                queue.append(H.intersection(current[other]))
     members = list(current.values())
     if drop_trivial:
         members = [H for H in members if H.order > 1]
@@ -275,26 +269,13 @@ def close_family(
 
 def conjugacy_class_representatives(family: SubgroupFamily) -> list[Subgroup]:
     """One member per G-conjugacy class of the family: the first member
-    of its class in the family's (order, member_key) order.  Each class
-    is walked by conjugating with the generators of G."""
-    gens = family.group.generators
-    seen: set[tuple] = set()
+    of its class in the family's (order, member_key) order."""
+    seen: set[int] = set()
     reps: list[Subgroup] = []
     for H in family.members:
-        key = H.member_key()
-        if key in seen:
-            continue
-        reps.append(H)
-        seen.add(key)
-        orbit = [H]
-        while orbit:
-            K = orbit.pop()
-            for g in gens:
-                C = K.conjugate(g)
-                key = C.member_key()
-                if key not in seen:
-                    seen.add(key)
-                    orbit.append(C)
+        if H.bits not in seen:
+            reps.append(H)
+            seen.update(C.bits for C in H.conjugacy_class())
     return reps
 
 
@@ -315,31 +296,29 @@ def orbit_category(G: PermGroup, family: SubgroupFamily) -> FinCategory:
         raise EmptyFamily("orbit category over an empty family")
     subs = family.members
     elements = G.elements
-    # cosets of each subgroup, by canonical (minimal) representative
+    # cosets of each subgroup by least representative: the elements are
+    # sorted, so the first one outside the cosets so far is least in its own
     coset_reps: list[list[Perm]] = []
     coset_index: list[dict[Perm, int]] = []
     for K in subs:
-        kset = list(K.members)
         seen: dict[Perm, int] = {}
         reps: list[Perm] = []
         for g in elements:
-            if g in seen:
-                continue
-            coset = sorted(g * k for k in kset)
-            idx = len(reps)
-            reps.append(coset[0])
-            for c in coset:
-                seen[c] = idx
+            if g not in seen:
+                for k in K.members:
+                    seen[g * k] = len(reps)
+                reps.append(g)
         coset_reps.append(reps)
         coset_index.append(seen)
     morphisms: list[Morphism] = []
     mor_index: dict[tuple[int, int, int], int] = {}
     for i, H in enumerate(subs):
+        # g^-1 H g <= K iff g^-1 maps a generating set of H into K
+        hgens = H.generating_set()
         for j, K in enumerate(subs):
-            kset = set(K.members)
             for ci, g in enumerate(coset_reps[j]):
                 ginv = g.inverse()
-                if all(ginv * h * g in kset for h in H.members):
+                if all(ginv * h * g in K for h in hgens):
                     mor_index[(i, j, ci)] = len(morphisms)
                     morphisms.append(Morphism(i, j, (i, j, g)))
     identity_of = []

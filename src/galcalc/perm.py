@@ -9,14 +9,18 @@ abelian and Sylow subgroups, generating sets, the generation tests of
 the isomorphism search) are closed by Dimino's algorithm, at about one
 product per element of the result.  Every element list is sorted
 lexicographically by image tuple, so all derived output (subgroups,
-quotients, homomorphism lists) is stable across runs.  Values are
-immutable after construction and safe to share across threads; lazy
-caches are filled at most once.
+quotients, homomorphism lists) is stable across runs.  A subgroup is a
+bitset over its parent's sorted element list, so containment,
+intersection, equality and hashing are integer operations, and
+conjugation maps bits through a per-element table of the parent.
+Values are immutable after construction and safe to share across
+threads; lazy caches are filled at most once.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from math import gcd
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -24,6 +28,7 @@ from .errors import NotNormal, SizeError
 
 DEFAULT_MAX_ORDER = 20000
 HOM_SEARCH_BOUND = 10**7
+_ONE = re.compile("1")
 
 
 class Perm:
@@ -169,6 +174,8 @@ class PermGroup:
         self._elements: Optional[tuple[Perm, ...]] = None
         self._defs: Optional[list[tuple[Perm, Optional[Perm], Optional[int]]]] = None
         self._order_profile: Optional[dict[int, int]] = None
+        self._index: Optional[dict[Perm, int]] = None
+        self._conj_tables: dict[Perm, tuple[int, ...]] = {}
 
     def __repr__(self) -> str:
         label = self.name or f"degree {self.degree}, {len(self.generators)} gens"
@@ -214,8 +221,26 @@ class PermGroup:
     def order(self) -> int:
         return len(self.elements)
 
+    @property
+    def element_index(self) -> dict[Perm, int]:
+        """Position of each element in the sorted element list."""
+        if self._index is None:
+            self._index = {g: i for i, g in enumerate(self.elements)}
+        return self._index
+
+    def conjugation_table(self, g: Perm) -> tuple[int, ...]:
+        """Position of g * x * g^-1 for the element x at each position."""
+        if g not in self._conj_tables:
+            index, a, ginv = self.element_index, g.images, g.inverse().images
+            # (g x g^-1)(y) = g(x(g^-1(y))), one pass per element
+            self._conj_tables[g] = tuple(
+                index[Perm._raw(tuple([a[x.images[b]] for b in ginv]))]
+                for x in self.elements
+            )
+        return self._conj_tables[g]
+
     def __contains__(self, g: Perm) -> bool:
-        return g in set(self.elements)
+        return g in self.element_index
 
     def __iter__(self) -> Iterator[Perm]:
         return iter(self.elements)
@@ -257,7 +282,7 @@ class PermGroup:
         return Subgroup(self, [self.identity], _closed=True)
 
     def full_subgroup(self) -> "Subgroup":
-        return Subgroup(self, self.elements, _closed=True)
+        return Subgroup._of_bits(self, (1 << self.order) - 1)
 
     def order_p_elements(self, p: int) -> tuple[Perm, ...]:
         """All g with g^p = identity and g != identity (order exactly p)."""
@@ -293,11 +318,12 @@ class PermGroup:
         return self.centralizer(self.generators if self.generators else [])
 
     def normalizer(self, H: "Subgroup") -> "Subgroup":
-        hset = set(H.members)
+        # g H g^-1 <= H iff g maps a generating set of H into H
+        gens = H.generating_set()
         members = []
         for g in self.elements:
             ginv = g.inverse()
-            if all(g * h * ginv in hset for h in H.members):
+            if all(g * h * ginv in H for h in gens):
                 members.append(g)
         return Subgroup(self, members, _closed=True)
 
@@ -332,30 +358,36 @@ class PermGroup:
     def elementary_abelian_p_subgroups(
         self, p: int, include_trivial: bool = False
     ) -> list["Subgroup"]:
-        """All subgroups isomorphic to (Z/p)^r, r >= 1 (or r >= 0)."""
-        ident = self.identity
-        p_elems = [g for g in self.elements if g != ident and g ** p == ident]
-        found: dict[frozenset[Perm], Subgroup] = {}
-        layer: list[_Closure] = []
-        for x in p_elems:
-            C = _Closure(ident, [x])
-            key = frozenset(C.members)
-            if key not in found:
-                found[key] = Subgroup(self, key, _closed=True)
-                layer.append(C)
+        """All subgroups isomorphic to (Z/p)^r, r >= 1 (or r >= 0).
+
+        H extends to H x <y> by each order-p y outside H commuting with
+        H's generators: the bits of the AND of their commuting bitsets."""
+        index = self.element_index
+        p_elems = self.order_p_elements(p)
+        commuting = dict.fromkeys(p_elems, 0)
+        for i, x in enumerate(p_elems):
+            a = x.images  # xy = yx iff x(v) = y(u) for u = x(k), v = y(k), all k
+            for y in p_elems[i:]:
+                if all(a[v] == y.images[u] for u, v in zip(a, y.images)):
+                    commuting[x] |= 1 << index[y]
+                    commuting[y] |= 1 << index[x]
+        p_bits = sum(1 << index[x] for x in p_elems)
+        found: dict[int, Subgroup] = {}
+        layer = [(_Closure(self.identity), 1)]  # the identity is at position 0
         while layer:
-            nxt: list[_Closure] = []
-            for H in layer:
-                for y in p_elems:
-                    # y of order p outside H and commuting with H's
-                    # generators gives H x <y>, of order |H| * p
-                    if y in H.members or not all(y * h == h * y for h in H.gens):
-                        continue
+            nxt: list[tuple[_Closure, int]] = []
+            for H, hbits in layer:
+                cand = p_bits & ~hbits
+                for x in H.gens:
+                    cand &= commuting[x]
+                while cand:
+                    y = self.elements[(cand & -cand).bit_length() - 1]
                     E = H.extended(y)
-                    key = frozenset(E.members)
-                    if key not in found:
-                        found[key] = Subgroup(self, key, _closed=True)
-                        nxt.append(E)
+                    S = Subgroup(self, E.members, _closed=True)
+                    cand &= ~S.bits
+                    if S.bits not in found:
+                        found[S.bits] = S
+                        nxt.append((E, S.bits))
                         if len(found) > 4096:
                             raise SizeError("elementary abelian search blow-up")
             layer = nxt
@@ -403,13 +435,8 @@ class PermGroup:
         return Subgroup(self, H.members, _closed=True)
 
     def sylow_subgroups(self, p: int) -> list["Subgroup"]:
-        """All Sylow p-subgroups (conjugates of one, deduplicated)."""
-        P = self.sylow_subgroup(p)
-        seen: dict[frozenset[Perm], Subgroup] = {}
-        for g in self.elements:
-            Q = P.conjugate(g)
-            seen.setdefault(frozenset(Q.members), Q)
-        return sorted(seen.values(), key=lambda s: s.member_key())
+        """All Sylow p-subgroups: the conjugacy class of one."""
+        return sorted(self.sylow_subgroup(p).conjugacy_class(), key=Subgroup.member_key)
 
     def conjugacy_classes(self) -> list[tuple[Perm, ...]]:
         """Conjugacy classes, each sorted, ordered by least member."""
@@ -464,6 +491,11 @@ def _p_part(n: int, p: int) -> int:
         out *= p
         n //= p
     return out
+
+
+def _bit_positions(bits: int) -> list[int]:
+    # bin(bits)[:1:-1] has bit i at index i
+    return [m.start() for m in _ONE.finditer(bin(bits)[:1:-1])]
 
 
 def _is_p_power(n: int, p: int) -> bool:
@@ -521,64 +553,95 @@ class _Closure:
 
 
 class Subgroup:
-    """A subgroup of a PermGroup, stored as its sorted member list."""
+    """A subgroup of a PermGroup, stored as a bitset over the parent's
+    sorted element list: bit i is set when the element at position i is
+    a member.  ``members`` lists them in that sorted order."""
+
+    __slots__ = ("parent", "bits", "_members")
 
     def __init__(self, parent: PermGroup, members: Iterable[Perm], _closed: bool = False):
-        self.parent = parent
-        mems = tuple(sorted(set(members)))
+        mset = set(members)
         if not _closed:
-            mset = set(mems)
             if parent.identity not in mset:
                 raise ValueError("subgroup must contain the identity")
-            for a in mems:
+            for a in mset:
                 if a.inverse() not in mset:
                     raise ValueError("member set not closed under inverse")
-                for b in mems:
+                for b in mset:
                     if a * b not in mset:
                         raise ValueError("member set not closed under product")
-        self.members = mems
+        buf = bytearray(parent.order // 8 + 1)
+        for i in map(parent.element_index.__getitem__, mset):
+            buf[i >> 3] |= 1 << (i & 7)
+        self.parent, self._members = parent, None
+        self.bits = int.from_bytes(buf, "little")
+
+    @classmethod
+    def _of_bits(cls, parent: PermGroup, bits: int) -> "Subgroup":
+        out = cls.__new__(cls)
+        out.parent, out.bits, out._members = parent, bits, None
+        return out
+
+    @property
+    def members(self) -> tuple[Perm, ...]:
+        if self._members is None:
+            at = self.parent.elements.__getitem__
+            self._members = tuple(map(at, _bit_positions(self.bits)))
+        return self._members
 
     @property
     def order(self) -> int:
-        return len(self.members)
+        return self.bits.bit_count()
 
     def member_key(self) -> tuple[tuple[int, ...], ...]:
         return tuple(m.images for m in self.members)
 
     def __contains__(self, g: Perm) -> bool:
-        return g in set(self.members)
+        i = self.parent.element_index.get(g)
+        return i is not None and (self.bits >> i) & 1 == 1
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Subgroup)
-            and self.parent is other.parent
-            and self.members == other.members
-        )
+        same = isinstance(other, Subgroup) and other.parent is self.parent
+        return same and self.bits == other.bits
 
     def __hash__(self) -> int:
-        return hash((id(self.parent), self.members))
+        return hash((id(self.parent), self.bits))
+
+    def _same_parent(self, other: "Subgroup") -> int:
+        if other.parent is not self.parent:
+            raise ValueError("subgroups of different groups")
+        return other.bits
 
     def __le__(self, other: "Subgroup") -> bool:
-        return set(self.members) <= set(other.members)
+        return self.bits & self._same_parent(other) == self.bits
 
     def __repr__(self) -> str:
         return f"Subgroup(order {self.order} of {self.parent!r})"
 
     def is_normal(self) -> bool:
-        mset = set(self.members)
-        for g in self.parent.generators:
-            ginv = g.inverse()
-            if any(g * h * ginv not in mset for h in self.members):
-                return False
-        return True
+        return all(self.conjugate(g) == self for g in self.parent.generators)
 
     def conjugate(self, g: Perm) -> "Subgroup":
-        ginv = g.inverse()
-        return Subgroup(self.parent, (g * h * ginv for h in self.members), _closed=True)
+        """g H g^-1, by the parent's conjugation table of g."""
+        table = self.parent.conjugation_table(g)
+        bits = sum(1 << table[i] for i in _bit_positions(self.bits))
+        return Subgroup._of_bits(self.parent, bits)
+
+    def conjugacy_class(self) -> list["Subgroup"]:
+        """Every conjugate g H g^-1, this subgroup first, walked by the
+        parent's generators: each element is a positive word in them."""
+        seen = {self.bits}
+        out = [self]
+        for K in out:  # out grows while it is scanned
+            for g in self.parent.generators:
+                C = K.conjugate(g)
+                if C.bits not in seen:
+                    seen.add(C.bits)
+                    out.append(C)
+        return out
 
     def intersection(self, other: "Subgroup") -> "Subgroup":
-        common = set(self.members) & set(other.members)
-        return Subgroup(self.parent, common, _closed=True)
+        return Subgroup._of_bits(self.parent, self.bits & self._same_parent(other))
 
     def generating_set(self) -> tuple[Perm, ...]:
         """Greedy generators: each member, in sorted order, not yet generated."""

@@ -9,8 +9,9 @@ separably closed field k of characteristic p:
   BG: additionally kill the p-residual, leaving a p-group quotient.
 * ``galois_stmod``    - the fundamental group of the stable module
   category: the fundamental group of the nerve of the reduced orbit
-  category on elementary abelian p-subgroups, certified against finite
-  candidates and cross-checked against whichever special-case formulas
+  category on elementary abelian p-subgroups, its order certified first,
+  then identified among the finite candidates of that order, and
+  cross-checked against whichever special-case formulas
   apply (central order-p element, Sylow triple intersections, rank-one
   Weyl group).  The nerve is built on the skeleton, one object per
   conjugacy class of subgroups: an equivalent category, so its nerve is
@@ -113,14 +114,10 @@ def sylow_triple_condition(G: PermGroup, p: int) -> bool:
     intersections are covered; a p'-group fails (its Sylow is trivial).
     """
     _require_prime(p)
-    sylows = G.sylow_subgroups(p)
-    for trio in itertools.combinations_with_replacement(sylows, 3):
-        common = trio[0]
-        for S in trio[1:]:
-            common = common.intersection(S)
-        if common.order == 1:
-            return False
-    return True
+    sylows = [S.bits for S in G.sylow_subgroups(p)]
+    # the identity is the least element, so the trivial subgroup is bit 0
+    triples = itertools.combinations_with_replacement(sylows, 3)
+    return all(a & b & c != 1 for a, b, c in triples)
 
 
 def maximal_elementary_abelian_classes(
@@ -128,20 +125,16 @@ def maximal_elementary_abelian_classes(
 ) -> list[list[Subgroup]]:
     """Conjugacy classes of the maximal members of ``subs``, which is
     ``G.elementary_abelian_p_subgroups(p)``."""
-    maximal = [
-        H for H in subs if not any(H is not K and H <= K for K in subs)
-    ]
+    sized = [(K.order, K.bits) for K in subs]
+    class_of: dict[int, list[Subgroup]] = {}
     classes: list[list[Subgroup]] = []
-    for H in maximal:
-        for cls in classes:
-            if any(
-                H.conjugate(g).member_key() == cls[0].member_key()
-                for g in G.elements
-            ):
-                cls.append(H)
-                break
-        else:
-            classes.append([H])
+    for (o, h), H in zip(sized, subs):
+        if any(k > o and h & b == h for k, b in sized):
+            continue  # not maximal
+        if h not in class_of:
+            classes.append([])
+            class_of.update((C.bits, classes[-1]) for C in H.conjugacy_class())
+        class_of[h].append(H)
     return classes
 
 
@@ -217,19 +210,22 @@ class GaloisReport:
 
 
 def stmod_candidates(
-    G: PermGroup, modg: PermGroup, classes: Sequence[Sequence[Subgroup]]
+    G: PermGroup,
+    modg: PermGroup,
+    classes: Sequence[Sequence[Subgroup]],
+    order: int,
 ) -> list[PermGroup]:
-    """Candidate pool for identifying the nerve fundamental group.
+    """Candidate pool for identifying a nerve fundamental group of the
+    certified ``order``.
 
-    The trivial group, the catalogue up to |G|, the representation-
-    category quotient ``modg``, and the Weyl group of each maximal
-    elementary abelian class representative in ``classes``: every
-    special-case answer lies here.
+    In order of precedence: the trivial group, the catalogue groups of
+    that order (none above |G|), the representation-category quotient
+    ``modg``, and the Weyl group of each maximal elementary abelian class
+    representative in ``classes``: every special-case answer lies here.
     """
+    specs = standard_catalogue(order, exact=True) if order <= G.order else []
     pool: list[PermGroup] = [catalogue_group("C1")]
-    for spec in standard_catalogue(G.order):
-        if spec != "C1":
-            pool.append(catalogue_group(spec))
+    pool += [catalogue_group(spec) for spec in specs if spec != "C1"]
     modg.name = modg.name or "modg-quotient"
     pool.append(modg)
     for i, cls in enumerate(classes):
@@ -250,9 +246,11 @@ def galois_stmod(
     Requires p to divide |G| (otherwise the category is trivial and its
     Galois groupoid empty: POrderError).  Builds the conjugation- and
     intersection-closed family of nontrivial elementary abelian
-    p-subgroups, presents the fundamental group of the nerve of the
-    reduced orbit category, identifies it against the candidate pool, and
-    runs every applicable special-case cross-check.
+    p-subgroups and presents the fundamental group of the nerve of the
+    reduced orbit category.  One coset enumeration certifies its order
+    (Inconclusive at the coset bound); only then is the candidate pool of
+    that order built and the group identified against it.  Every
+    applicable special-case cross-check runs.
     """
     _require_prime(p)
     if G.order % p != 0:
@@ -265,8 +263,18 @@ def galois_stmod(
     classes = maximal_elementary_abelian_classes(G, subs)
     _, components, F = orbit_nerve(G, subs)
     Fs = simplify(F)
-    pool = list(candidates) if candidates is not None else stmod_candidates(G, modg, classes)
-    ident = identify_finite(Fs, pool, max_cosets=max_cosets, presimplify=False)
+    weyl = None
+    try:
+        order = coset_enumeration(Fs, (), max_cosets=max_cosets)
+    except CosetLimitExceeded:
+        ident = IdentificationResult(status=INCONCLUSIVE)
+    else:
+        if candidates is None:
+            pool = stmod_candidates(G, modg, classes, order)
+            weyl = pool[len(pool) - len(classes)]  # of classes[0][0]
+        else:
+            pool = list(candidates)
+        ident = identify_finite(Fs, pool, presimplify=False, certified_order=order)
     report = GaloisReport(
         group_spec=G.name or f"<order {G.order}>",
         prime=p,
@@ -276,7 +284,7 @@ def galois_stmod(
         identification=ident,
         pi0_components=components,
     )
-    return stmod_cross_check(G, p, report, modg, classes)
+    return stmod_cross_check(G, p, report, modg, classes, weyl)
 
 
 def orbit_nerve(
@@ -305,14 +313,15 @@ def stmod_cross_check(
     report: GaloisReport,
     modg: PermGroup,
     classes: Sequence[Sequence[Subgroup]],
+    weyl: Optional[PermGroup] = None,
 ) -> GaloisReport:
     """Record agreement with every special-case theorem that applies.
 
     Central order-p element and Sylow-triple cases compare against the
     representation-category quotient ``modg``; a single conjugacy class
     of rank-one maximal elementary abelians in ``classes`` compares
-    against its Weyl group.  Isomorphism is tested on groups, never on
-    names.
+    against its Weyl group, ``weyl`` when the caller has it already.
+    Isomorphism is tested on groups, never on names.
     """
     nerve_result = report.result_group()
 
@@ -334,7 +343,7 @@ def stmod_cross_check(
         detail = f"modg quotient has order {modg.order}"
         checks += [CrossCheck(path, modg_agreed, detail) for path in modg_paths]
     if len(classes) == 1 and classes[0][0].order == p:
-        target = weyl_group(G, classes[0][0])
+        target = weyl if weyl is not None else weyl_group(G, classes[0][0])
         checks.append(
             CrossCheck(
                 PATH_WEYL,
@@ -457,13 +466,8 @@ def van_kampen_pushout(
         return VanKampenReport(
             P, Ps, factors, IdentificationResult(status=INCONCLUSIVE)
         )
-    candidates: list[PermGroup] = []
-    if order <= candidate_bound:
-        candidates = [
-            catalogue_group(spec)
-            for spec in standard_catalogue(order)
-            if catalogue_group(spec).order == order
-        ]
+    specs = standard_catalogue(order, exact=True) if order <= candidate_bound else []
+    candidates = [catalogue_group(spec) for spec in specs]
     ident = identify_finite(Ps, candidates, presimplify=False, certified_order=order)
     return VanKampenReport(P, Ps, factors, ident)
 

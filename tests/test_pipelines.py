@@ -1,11 +1,21 @@
 """Theorem pipelines: representation, cochain, and stable module paths."""
 
+import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from galcalc import fp, pipelines
-from galcalc.catalogue import catalogue_group, name_group, standard_catalogue
+from galcalc.catalogue import (
+    catalogue_group,
+    group_from_catalogue,
+    name_group,
+    standard_catalogue,
+)
 from galcalc.errors import POrderError
 from galcalc.fp import FpGroup, FpMap
 from galcalc.perm import find_isomorphism, find_surjection
@@ -79,6 +89,70 @@ def test_stmod_north_star_cases_on_the_skeleton():
         assert r.identification.match_name == name, (spec, p)
         assert all(c.agreed for c in r.cross_checks), (spec, p)
     assert time.perf_counter() - start < 10.0
+
+
+# Each S7 case runs in a child interpreter, which reports its own time and
+# its own peak resident memory (VmHWM, which starts afresh at exec; the
+# ru_maxrss of a child would inherit this process's high-water mark).
+S7_CHILD = """
+import json, sys, time
+from galcalc.catalogue import group_from_catalogue
+from galcalc.pipelines import galois_stmod
+G = group_from_catalogue("S7")
+start = time.perf_counter()
+r = galois_stmod(G, int(sys.argv[1]))
+seconds = time.perf_counter() - start
+with open("/proc/self/status") as f:
+    kb = next(int(line.split()[1]) for line in f if line.startswith("VmHWM:"))
+ident = r.identification
+print(json.dumps({"status": ident.status, "name": ident.match_name,
+                  "agreed": [c.agreed for c in r.cross_checks],
+                  "seconds": seconds, "peak_mb": kb / 1024}))
+"""
+
+
+def _stmod_s7_in_child(p):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", S7_CHILD, str(p)],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    return json.loads(out.stdout)
+
+
+def test_stmod_s7_odd_primes_guard():
+    # order 5040: staying under 100 MB needs a candidate pool built for
+    # the certified order, not every catalogue group up to |G|
+    cases = [(3, "D8"), (5, "C2xC4"), (7, "C6")]
+    total = 0.0
+    for p, name in cases:
+        r = _stmod_s7_in_child(p)
+        assert r["status"] == "Identified", p
+        assert r["name"] == name, p
+        assert all(r["agreed"]), p
+        assert r["peak_mb"] < 100, (p, r["peak_mb"])
+        total += r["seconds"]
+    assert total < 10.0
+
+
+def test_stmod_s7_at_2_guard():
+    r = _stmod_s7_in_child(2)
+    assert (r["status"], r["name"]) == ("Identified", "C1")
+    assert all(r["agreed"])
+    assert r["peak_mb"] < 100, r["peak_mb"]
+    assert r["seconds"] < 40.0
+
+
+def test_s8_quotients_above_the_default_order_bound():
+    # order 40320 needs max_order above the default 20000
+    G = group_from_catalogue("S8", max_order=50000)
+    start = time.perf_counter()
+    assert galois_modg(G, 2).order == 1
+    assert galois_cochains(G, 2).order == 1
+    assert time.perf_counter() - start < 30.0
 
 
 def test_modg_requires_prime():
@@ -184,11 +258,11 @@ def test_stmod_elementary_abelian_trivial(spec):
 def test_stmod_candidate_pool_contents():
     G = catalogue_group("S3")
     classes = maximal_elementary_abelian_classes(G, G.elementary_abelian_p_subgroups(3))
-    pool = stmod_candidates(G, galois_modg(G, 3), classes)
-    names = [c.name for c in pool]
-    assert names[0] == "C1"
-    assert "C2" in names and "S3" in names
-    assert all(c.order <= G.order for c in pool[:-2])
+    # the catalogue part holds the groups of the certified order only
+    for order, catalogue in [(1, []), (2, ["C2"]), (6, ["C6", "S3"]), (7, [])]:
+        pool = stmod_candidates(G, galois_modg(G, 3), classes, order)
+        names = [c.name for c in pool]
+        assert names == ["C1"] + catalogue + ["S3/N", "weyl-class-0"], order
 
 
 def test_stmod_report_json():

@@ -77,9 +77,10 @@ def test_skeletal_nerve_matches_full_nerve(spec, p):
     assert components == len(full.object_components())
     Fs, F_full_s = simplify(F), simplify(F_full)
     assert abelianization(Fs) == abelianization(F_full_s)
-    assert coset_enumeration(Fs) == coset_enumeration(F_full_s)
+    order = coset_enumeration(Fs)
+    assert order == coset_enumeration(F_full_s)
     pool = stmod_candidates(
-        G, galois_modg(G, p), maximal_elementary_abelian_classes(G, subs)
+        G, galois_modg(G, p), maximal_elementary_abelian_classes(G, subs), order
     )
     ident = identify_finite(Fs, pool, presimplify=False)
     ident_full = identify_finite(F_full_s, pool, presimplify=False)
