@@ -4,10 +4,12 @@ Elements are permutations of {0, ..., degree-1} stored as image tuples.
 A whole group is enumerated once by breadth-first closure over its
 generators, which also records the words that ``extend_generator_map``,
 the one routine that builds and verifies homomorphisms and G-set
-actions, extends generator images along.  Generated subgroups (normal closures, elementary
+actions, extends generator images along.  Generated subgroups (elementary
 abelian and Sylow subgroups, generating sets, the generation tests of
 the isomorphism search) are closed by Dimino's algorithm, at about one
-product per element of the result.  Every element list is sorted
+product per element of the result.  A normal closure is that closure of
+its seed, grown by the conjugates of its own generators by the group's
+generators.  Every element list is sorted
 lexicographically by image tuple, so all derived output (subgroups,
 quotients, homomorphism lists) is stable across runs.  A subgroup is a
 bitset over its parent's sorted element list, so containment,
@@ -285,27 +287,28 @@ class PermGroup:
         return Subgroup._of_bits(self, (1 << self.order) - 1)
 
     def order_p_elements(self, p: int) -> tuple[Perm, ...]:
-        """All g with g^p = identity and g != identity (order exactly p)."""
-        ident = self.identity
-        return tuple(g for g in self.elements if g != ident and g ** p == ident)
+        """All elements of order exactly p, in sorted order.
+
+        For p prime these are the g != identity with g^p = identity."""
+        return tuple(g for g in self.elements if g.order() == p)
 
     def normal_closure(self, seed: Iterable[Perm]) -> "Subgroup":
-        """Smallest normal subgroup containing the given elements."""
-        conj_closed = set()
-        queue = list(seed)
-        gens_both = [g for g in self.generators] + [
-            g.inverse() for g in self.generators
-        ]
-        while queue:
-            t = queue.pop()
-            if t in conj_closed:
-                continue
-            conj_closed.add(t)
-            for g in gens_both:
-                c = g * t * g.inverse()
-                if c not in conj_closed:
-                    queue.append(c)
-        return self.subgroup_from_generators(conj_closed)
+        """Smallest normal subgroup containing the given elements.
+
+        The seed is closed by Dimino's algorithm, then the conjugate
+        x n x^-1 of each generator n of the closure (those added on the way
+        included) by each generator x of this group is added.  So the result
+        N has x N x^-1 <= N, and x^-1 is a power of x: N is normal, and the
+        least such, as all it adds are conjugates (Holt, Eick and O'Brien,
+        Handbook of Computational Group Theory)."""
+        N = _Closure(self.identity, seed)
+        conj = [(x.images, x.inverse().images) for x in self.generators]
+        for n in N.gens:  # gens grows while it is scanned
+            b = n.images
+            for a, ainv in conj:
+                # (x n x^-1)(y) = x(n(x^-1(y)))
+                N.add(Perm._raw(tuple([a[b[y]] for y in ainv])))
+        return Subgroup(self, N.members, _closed=True)
 
     def centralizer(self, elems: Iterable[Perm]) -> "Subgroup":
         targets = list(elems)
@@ -337,7 +340,6 @@ class PermGroup:
             raise ValueError("subgroup does not belong to this group")
         if not N.is_normal():
             raise NotNormal("quotient by a non-normal subgroup")
-        nset = sorted(N.members)
         coset_of: dict[Perm, int] = {}
         reps: list[Perm] = []
         for g in self.elements:
@@ -345,7 +347,7 @@ class PermGroup:
                 continue
             idx = len(reps)
             reps.append(g)
-            for n in nset:
+            for n in N.members:
                 coset_of[g * n] = idx
         def coset_perm(x: Perm) -> Perm:
             return Perm(coset_of[x * reps[c]] for c in range(len(reps)))

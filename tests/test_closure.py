@@ -2,7 +2,11 @@
 
 The oracles are the quadratic closures the kernel used before Dimino's
 algorithm: close a set by multiplying every new element with every
-element found so far, and pick generators greedily by re-closing.
+element found so far, and pick generators greedily by re-closing.  The
+normal-closure oracle is the loop used before the closure's own
+generators were conjugated: conjugate every seed element by every
+generator and its inverse until the set stops growing, then close it.
+The order-p oracle is the power definition g != 1, g^p = 1.
 """
 
 import random
@@ -33,6 +37,29 @@ def naive_closure(seed, identity):
                         nxt.append(c)
         frontier = nxt
     return elems
+
+
+def conjugation_closed_normal_closure(G, seed):
+    conj_closed = set()
+    queue = list(seed)
+    gens_both = list(G.generators) + [g.inverse() for g in G.generators]
+    while queue:
+        t = queue.pop()
+        if t in conj_closed:
+            continue
+        conj_closed.add(t)
+        for g in gens_both:
+            c = g * t * g.inverse()
+            if c not in conj_closed:
+                queue.append(c)
+    return G.subgroup_from_generators(conj_closed)
+
+
+def _primes(n):
+    return [q for q in range(2, n + 1) if n % q == 0 and all(q % d for d in range(2, q))]
+
+
+CATALOGUE_48 = [catalogue_group(spec) for spec in standard_catalogue(48)]
 
 
 def greedy_generators(H):
@@ -86,6 +113,34 @@ def test_normal_closure_is_least_normal_overgroup(case):
     assert all(s in N for s in seed)
     conjugates = {x * s * x.inverse() for x in Sn.elements for s in seed}
     assert N.members == PermGroup(n, conjugates).elements
+
+
+@settings(max_examples=60, deadline=None)
+@given(perms_of_degree(max_gens=4))
+def test_normal_closure_matches_conjugation_closed_seed(case):
+    n, seed = case
+    Sn = catalogue_group(f"S{n}")
+    N = Sn.normal_closure(seed)
+    assert N.bits == conjugation_closed_normal_closure(Sn, seed).bits
+
+
+def test_normal_closure_matches_oracle_on_catalogue_48():
+    for G in CATALOGUE_48:
+        for p in _primes(G.order):
+            order_p = G.order_p_elements(p)
+            coprime = [g for g in G.elements if not g.is_identity() and g.order() % p]
+            for seed in (order_p, coprime, order_p[:1], []):
+                N = G.normal_closure(seed)
+                oracle = conjugation_closed_normal_closure(G, seed)
+                assert N.bits == oracle.bits, (G.name, p, len(seed))
+
+
+def test_order_p_elements_match_power_definition():
+    for G in CATALOGUE_48:
+        e = G.identity
+        for p in (2, 3, 5, 7):
+            powered = tuple(g for g in G.elements if g != e and g ** p == e)
+            assert G.order_p_elements(p) == powered, (G.name, p)
 
 
 def test_generating_set_matches_greedy_reclosing():
