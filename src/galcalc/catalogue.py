@@ -251,11 +251,8 @@ def catalogue_group(spec: str, max_order: int = DEFAULT_MAX_ORDER) -> PermGroup:
 
 def name_group(G: PermGroup) -> Optional[str]:
     """Identify G against the catalogue of its order; None if unnamed."""
-    for spec in standard_catalogue(G.order):
-        cand = catalogue_group(spec)
-        if cand.order != G.order:
-            continue
-        if find_isomorphism(G, cand) is not None:
+    for spec in standard_catalogue(G.order, exact=True):
+        if find_isomorphism(G, catalogue_group(spec)) is not None:
             return spec
     return None
 

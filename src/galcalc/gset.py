@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Hashable, Sequence
 
 from .errors import CertificateError, IncompatibleGroups, ParseError, SizeError
-from .perm import GroupHom, Perm, PermGroup, extend_generator_map
+from .perm import GroupHom, Perm, PermGroup, Subgroup, extend_generator_map
 from .perm import find_isomorphism, homomorphisms
 from .stone import BooleanAlgebra
 
@@ -76,21 +76,13 @@ class GSet:
         return cls(group, pts, [list(g.images) for g in group.generators])
 
     @classmethod
-    def coset_action(cls, group: PermGroup, subgroup_members: Sequence[Perm]) -> "GSet":
-        """Left action on cosets of a subgroup."""
-        seen: dict[Perm, int] = {}
-        reps = []
-        for g in group.elements:
-            if g in seen:
-                continue
-            idx = len(reps)
-            reps.append(g)
-            for h in subgroup_members:
-                seen[g * h] = idx
-        gen_images = [
-            [seen[gen * reps[c]] for c in range(len(reps))]
-            for gen in group.generators
-        ]
+    def coset_action(cls, H: Subgroup) -> "GSet":
+        """The parent group's left action on the cosets gH, numbered as
+        ``Subgroup.cosets`` numbers them: x sends coset c to the coset of
+        x * reps[c]."""
+        reps, index = H.cosets()
+        group = H.parent
+        gen_images = [[index[x * r] for r in reps] for x in group.generators]
         return cls(group, [f"c{i}" for i in range(len(reps))], gen_images)
 
     def __len__(self) -> int:

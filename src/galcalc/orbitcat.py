@@ -20,7 +20,7 @@ from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .errors import BadBasepoint, EmptyFamily, SizeError
 from .fp import FpGroup, Word
-from .perm import Perm, PermGroup, Subgroup
+from .perm import PermGroup, Subgroup
 
 MAX_FAMILY = 4096
 
@@ -295,21 +295,7 @@ def orbit_category(G: PermGroup, family: SubgroupFamily) -> FinCategory:
     if not family.members:
         raise EmptyFamily("orbit category over an empty family")
     subs = family.members
-    elements = G.elements
-    # cosets of each subgroup by least representative: the elements are
-    # sorted, so the first one outside the cosets so far is least in its own
-    coset_reps: list[list[Perm]] = []
-    coset_index: list[dict[Perm, int]] = []
-    for K in subs:
-        seen: dict[Perm, int] = {}
-        reps: list[Perm] = []
-        for g in elements:
-            if g not in seen:
-                for k in K.members:
-                    seen[g * k] = len(reps)
-                reps.append(g)
-        coset_reps.append(reps)
-        coset_index.append(seen)
+    coset_reps, coset_index = zip(*(K.cosets() for K in subs))
     morphisms: list[Morphism] = []
     mor_index: dict[tuple[int, int, int], int] = {}
     for i, H in enumerate(subs):

@@ -9,12 +9,14 @@ abelian and Sylow subgroups, generating sets, the generation tests of
 the isomorphism search) are closed by Dimino's algorithm, at about one
 product per element of the result.  A normal closure is that closure of
 its seed, grown by the conjugates of its own generators by the group's
-generators.  Every element list is sorted
-lexicographically by image tuple, so all derived output (subgroups,
-quotients, homomorphism lists) is stable across runs.  A subgroup is a
-bitset over its parent's sorted element list, so containment,
-intersection, equality and hashing are integer operations, and
-conjugation maps bits through a per-element table of the parent.
+generators.  ``Subgroup.cosets`` is the one left-coset routine; a
+quotient G/N is the action on the cosets of N, certified by
+|G/N| * |N| = |G|.  Every element list is sorted lexicographically by
+image tuple, so all derived output (subgroups, quotients, homomorphism
+lists) is stable across runs.  A subgroup is a bitset over its parent's
+sorted element list, so containment, intersection, equality and hashing
+are integer operations, and conjugation maps bits through a
+per-element table of the parent.
 Values are immutable after construction and safe to share across
 threads; lazy caches are filled at most once.
 """
@@ -26,7 +28,7 @@ import re
 from math import gcd
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .errors import NotNormal, SizeError
+from .errors import CertificateError, NotNormal, SizeError
 
 DEFAULT_MAX_ORDER = 20000
 HOM_SEARCH_BOUND = 10**7
@@ -330,32 +332,27 @@ class PermGroup:
                 members.append(g)
         return Subgroup(self, members, _closed=True)
 
-    def quotient(self, N: "Subgroup") -> tuple["PermGroup", "GroupHom"]:
-        """Permutation action on cosets of a normal subgroup.
+    def quotient(self, N: "Subgroup") -> "PermGroup":
+        """G/N as the action of G's generators on the cosets of N.
 
-        Returns the quotient group together with the projection
-        homomorphism; raises NotNormal otherwise.
+        Raises NotNormal unless N is normal.  The kernel of the action is
+        contained in N, so |G/N| * |N| = |G| certifies that it is N; a
+        CertificateError is raised otherwise.
         """
         if N.parent is not self and not N.parent.same_group(self):
             raise ValueError("subgroup does not belong to this group")
         if not N.is_normal():
             raise NotNormal("quotient by a non-normal subgroup")
-        coset_of: dict[Perm, int] = {}
-        reps: list[Perm] = []
-        for g in self.elements:
-            if g in coset_of:
-                continue
-            idx = len(reps)
-            reps.append(g)
-            for n in N.members:
-                coset_of[g * n] = idx
-        def coset_perm(x: Perm) -> Perm:
-            return Perm(coset_of[x * reps[c]] for c in range(len(reps)))
-        gen_images = tuple(coset_perm(g) for g in self.generators)
+        reps, index = N.cosets()
+        # x permutes the cosets: x * rN = (x * r)N
+        gen_images = [
+            Perm._raw(tuple([index[x * r] for r in reps])) for x in self.generators
+        ]
         qname = f"{self.name}/N" if self.name else None
         Q = PermGroup(len(reps), gen_images, name=qname, max_order=self.max_order)
-        proj = GroupHom(self, Q, gen_images)
-        return Q, proj
+        if Q.order * N.order != self.order:
+            raise CertificateError("coset action kernel is not the subgroup")
+        return Q
 
     def elementary_abelian_p_subgroups(
         self, p: int, include_trivial: bool = False
@@ -468,7 +465,7 @@ class PermGroup:
         rank is the q-rank (dimension of the q-torsion), exponent the
         largest q-power element order; used as a surjection precheck.
         """
-        Q, _ = self.quotient(self.derived_subgroup())
+        Q = self.quotient(self.derived_subgroup())
         data: dict[int, tuple[int, int]] = {}
         n = Q.order
         q = 2
@@ -641,6 +638,19 @@ class Subgroup:
                     seen.add(C.bits)
                     out.append(C)
         return out
+
+    def cosets(self) -> tuple[list[Perm], dict[Perm, int]]:
+        """The left cosets gH as (reps, index): reps[c] is the least
+        element of coset c, numbered in the parent's sorted element order,
+        and index maps every parent element to its coset number."""
+        index: dict[Perm, int] = {}
+        reps: list[Perm] = []
+        for g in self.parent.elements:
+            if g not in index:
+                for h in self.members:
+                    index[g * h] = len(reps)
+                reps.append(g)
+        return reps, index
 
     def intersection(self, other: "Subgroup") -> "Subgroup":
         return Subgroup._of_bits(self.parent, self.bits & self._same_parent(other))

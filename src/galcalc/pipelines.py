@@ -56,6 +56,9 @@ from .orbitcat import (
 )
 from .perm import PermGroup, Subgroup, find_isomorphism
 
+# a pushout of certified order up to this bound is named from the catalogue
+PUSHOUT_CANDIDATE_BOUND = 48
+
 ARITHMETIC_NOTE = (
     "ground field assumed separably closed; the arithmetic factor "
     "Gal(k_sep/k) of the Galois group is omitted"
@@ -73,8 +76,7 @@ def galois_modg(G: PermGroup, p: int) -> PermGroup:
     """G modulo the normal closure of its order-p elements."""
     _require_prime(p)
     N = G.normal_closure(G.order_p_elements(p))
-    Q, _ = G.quotient(N)
-    return Q
+    return G.quotient(N)
 
 
 def galois_cochains(G: PermGroup, p: int) -> PermGroup:
@@ -88,17 +90,13 @@ def galois_cochains(G: PermGroup, p: int) -> PermGroup:
     residual = G.p_residual(p)
     seed = list(residual.members) + list(G.order_p_elements(p))
     N = G.normal_closure(seed)
-    Q, _ = G.quotient(N)
-    return Q
+    return G.quotient(N)
 
 
 def weyl_group(G: PermGroup, H: Subgroup) -> PermGroup:
     """N_G(H)/H, the Weyl group of a subgroup."""
-    N = G.normalizer(H)
-    NG = N.as_group()
-    HN = NG.subgroup(H.members)
-    Q, _ = NG.quotient(HN)
-    return Q
+    NG = G.normalizer(H).as_group()
+    return NG.quotient(NG.subgroup(H.members))
 
 
 def has_central_order_p(G: PermGroup, p: int) -> bool:
@@ -435,7 +433,6 @@ def van_kampen_pushout(
     left: FpMap,
     right: FpMap,
     max_cosets: int = DEFAULT_MAX_COSETS,
-    candidate_bound: int = 48,
 ) -> VanKampenReport:
     """Pushout of presentations, wrapped with the standard certificates.
 
@@ -444,8 +441,8 @@ def van_kampen_pushout(
     the legs, proves the pushout Infinite without enumerating it.
     Otherwise one coset enumeration certifies the order, and the
     identification against the catalogue of that order (when it is at
-    most the candidate bound) reuses it; when that run hits the coset
-    bound the identification is Inconclusive.
+    most ``PUSHOUT_CANDIDATE_BOUND``) reuses it; when that run hits the
+    coset bound the identification is Inconclusive.
     """
     P = pushout(left, right)
     Ps = simplify(P)
@@ -466,7 +463,8 @@ def van_kampen_pushout(
         return VanKampenReport(
             P, Ps, factors, IdentificationResult(status=INCONCLUSIVE)
         )
-    specs = standard_catalogue(order, exact=True) if order <= candidate_bound else []
+    named = order <= PUSHOUT_CANDIDATE_BOUND
+    specs = standard_catalogue(order, exact=True) if named else []
     candidates = [catalogue_group(spec) for spec in specs]
     ident = identify_finite(Ps, candidates, presimplify=False, certified_order=order)
     return VanKampenReport(P, Ps, factors, ident)

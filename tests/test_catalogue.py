@@ -132,6 +132,18 @@ def test_standard_catalogue_orders_and_determinism():
 
 def test_name_group_and_display():
     Q8 = catalogue_group("Q8")
-    V, _ = Q8.quotient(Q8.center())
+    V = Q8.quotient(Q8.center())
     assert name_group(V) == "C2xC2"
     assert display_name(V) == "C2 x C2 (order 4)"
+
+
+def test_name_group_builds_only_its_order(monkeypatch):
+    import galcalc.catalogue as catalogue
+
+    Q8 = catalogue_group("Q8")
+    for G, name in ((catalogue_group("S4"), "S4"), (Q8.quotient(Q8.center()), "C2xC2")):
+        monkeypatch.setattr(catalogue, "_catalogue_cache", {})
+        assert name_group(G) == name
+        built = catalogue._catalogue_cache
+        assert built and all(H.order == G.order for H in built.values())
+        assert {spec for spec, _ in built} <= set(standard_catalogue(G.order, exact=True))

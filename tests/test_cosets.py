@@ -1,0 +1,135 @@
+"""The one left-coset routine and the quotients built on it, against the
+loops it replaced.
+
+The coset oracle is the loop that ``PermGroup.quotient``,
+``GSet.coset_action`` and ``orbit_category`` each carried before
+``Subgroup.cosets``: scan the parent's sorted elements and give every
+element not yet covered a new coset of its own.  The quotient oracle is
+the old ``quotient``, which also built and verified a projection
+homomorphism.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import galcalc
+from galcalc.catalogue import catalogue_group, standard_catalogue
+from galcalc.perm import GroupHom, Perm, PermGroup
+from galcalc.pipelines import galois_cochains, galois_modg
+
+
+def old_cosets(H):
+    seen = {}
+    reps = []
+    for g in H.parent.elements:
+        if g in seen:
+            continue
+        idx = len(reps)
+        reps.append(g)
+        for h in H.members:
+            seen[g * h] = idx
+    return reps, seen
+
+
+def old_quotient(G, N):
+    reps, coset_of = old_cosets(N)
+
+    def coset_perm(x):
+        return Perm(coset_of[x * reps[c]] for c in range(len(reps)))
+
+    gen_images = tuple(coset_perm(g) for g in G.generators)
+    qname = f"{G.name}/N" if G.name else None
+    Q = PermGroup(len(reps), gen_images, name=qname, max_order=G.max_order)
+    GroupHom(G, Q, gen_images)
+    return Q
+
+
+def _primes(n):
+    return [q for q in range(2, n + 1) if n % q == 0 and all(q % d for d in range(2, q))]
+
+
+def _catalogue_subgroups(max_order):
+    for spec in standard_catalogue(max_order):
+        G = catalogue_group(spec)
+        subs = [G.trivial_subgroup(), G.full_subgroup()]
+        for p in _primes(G.order):
+            subs += G.sylow_subgroups(p)
+            subs += G.elementary_abelian_p_subgroups(p)
+            subs.append(G.normal_closure(G.order_p_elements(p)))
+        yield spec, subs
+
+
+def test_cosets_match_old_loop_on_catalogue_24():
+    checked = 0
+    for spec, subs in _catalogue_subgroups(24):
+        for H in subs:
+            reps, index = H.cosets()
+            assert (reps, index) == old_cosets(H), (spec, H)
+            assert len(reps) * H.order == H.parent.order
+            checked += 1
+    assert checked > 500
+
+
+@st.composite
+def subgroups_of_s4_s5(draw):
+    G = catalogue_group(draw(st.sampled_from(["S4", "S5"])))
+    picks = draw(st.lists(st.integers(0, G.order - 1), max_size=3))
+    return G.subgroup_from_generators(G.elements[i] for i in picks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(subgroups_of_s4_s5())
+def test_cosets_match_old_loop_on_random_subgroups(H):
+    assert H.cosets() == old_cosets(H)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_pipeline_quotients_match_old_quotient(p):
+    for spec in standard_catalogue(48):
+        G = catalogue_group(spec)
+        residual = G.p_residual(p)
+        for Q, N in (
+            (galois_modg(G, p), G.normal_closure(G.order_p_elements(p))),
+            (
+                galois_cochains(G, p),
+                G.normal_closure(list(residual.members) + list(G.order_p_elements(p))),
+            ),
+        ):
+            old = old_quotient(G, N)
+            assert Q.generators == old.generators, (spec, p)
+            assert Q.elements == old.elements, (spec, p)
+
+
+def test_quotient_rejects_wrong_coset_count_under_optimize():
+    # the kernel certificate is an explicit check, so python -O keeps it:
+    # cosets numbered as those of the trivial subgroup give the regular
+    # action, whose order times |N| is not |G|
+    code = (
+        "import galcalc.perm as perm\n"
+        "from galcalc.catalogue import catalogue_group\n"
+        "from galcalc.errors import CertificateError\n"
+        "cosets = perm.Subgroup.cosets\n"
+        "perm.Subgroup.cosets = lambda H: cosets(H.parent.trivial_subgroup())\n"
+        "G = catalogue_group('S3')\n"
+        "try:\n"
+        "    G.quotient(G.normal_closure(G.order_p_elements(3)))\n"
+        "except CertificateError:\n"
+        "    print('rejected')\n"
+        "else:\n"
+        "    print('accepted')\n"
+    )
+    src = str(Path(galcalc.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": src},
+        timeout=60,
+        check=True,
+    )
+    assert out.stdout.strip() == "rejected"

@@ -96,7 +96,7 @@ def test_distributivity_random_instances():
         GSet.natural(S3),
         GSet.trivial(S3, 2),
         GSet.regular(S3),
-        GSet.coset_action(S3, [S3.identity]),
+        GSet.coset_action(S3.trivial_subgroup()),
     ]
     for _ in range(6):
         X, Y, Z = (rng.choice(pool) for _ in range(3))

@@ -90,7 +90,7 @@ def test_reduced_orbit_category_v4():
 
 def _fixed_points_of_H_on_cosets(G, H, K):
     """Oracle: fixed points of H acting on the coset space G/K."""
-    X = GSet.coset_action(G, list(K.members))
+    X = GSet.coset_action(K)
     count = 0
     for x in range(len(X.points)):
         if all(X.act(h, x) == x for h in H.members):
