@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import galcalc.catalogue as catalogue
 from galcalc.catalogue import (
     catalogue_group,
     display_name,
@@ -138,12 +139,12 @@ def test_name_group_and_display():
 
 
 def test_name_group_builds_only_its_order(monkeypatch):
-    import galcalc.catalogue as catalogue
-
     Q8 = catalogue_group("Q8")
-    for G, name in ((catalogue_group("S4"), "S4"), (Q8.quotient(Q8.center()), "C2xC2")):
+    V = Q8.quotient(Q8.center())
+    for G, name in ((catalogue_group("S4"), "S4"), (V, "C2xC2")):
         monkeypatch.setattr(catalogue, "_catalogue_cache", {})
         assert name_group(G) == name
         built = catalogue._catalogue_cache
         assert built and all(H.order == G.order for H in built.values())
-        assert {spec for spec, _ in built} <= set(standard_catalogue(G.order, exact=True))
+        specs = set(standard_catalogue(G.order, exact=True))
+        assert {spec for spec, _ in built} <= specs
