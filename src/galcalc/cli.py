@@ -15,7 +15,9 @@ Commands:
 
 ``stmod`` and ``orbit-nerve`` build the orbit category on one subgroup
 per conjugacy class (its skeleton): an equivalent category, whose nerve
-is homotopy equivalent to the full one.
+is homotopy equivalent to the full one.  The nerve's pi1 is presented on
+a generating set of morphisms, one relation per generator and morphism
+into its source.
 
 ``pushout`` proves an infinite pushout ``Infinite`` without enumerating
 it, from a free factor in its abelianization or from the amalgam
@@ -346,7 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "orbit-nerve",
         help="raw nerve presentation of the skeletal orbit category "
-        "(equivalent to the full one, so the same pi0 and pi1)",
+        "(equivalent to the full one, so the same pi0 and pi1), on a "
+        "generating set of morphisms",
     )
     p.add_argument("group")
     add_common(p, prime=True)

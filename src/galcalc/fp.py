@@ -50,23 +50,28 @@ def cyclic_reduce(word: Sequence[int]) -> Word:
     return tuple(w)
 
 
-def _relator_sort_key(word: Word) -> tuple:
+def _letter_codes(word: Word) -> tuple[int, ...]:
     # positive letters sort before their inverses: a < A < b < B < ...
-    return tuple((abs(x), 0 if x > 0 else 1) for x in word)
+    return tuple(2 * x if x > 0 else 1 - 2 * x for x in word)
 
 
 def canonical_relator(word: Sequence[int]) -> Word:
-    """Least rotation of the cyclic reduction of the word or its inverse."""
+    """Least rotation of the cyclic reduction of the word or its inverse,
+    letters ordered a < A < b < B < ...
+
+    Rotations are compared as tuples of the letter codes 2x for x > 0 and
+    1 - 2x for x < 0, which order letters that way.  The least rotation
+    starts with the least code, so only those rotations are compared.
+    """
     w = cyclic_reduce(word)
     if not w:
         return ()
-    best = None
-    for cand in (w, inverse_word(w)):
-        for k in range(len(cand)):
-            rot = cand[k:] + cand[:k]
-            if best is None or _relator_sort_key(rot) < _relator_sort_key(best):
-                best = rot
-    return best
+    codes = (_letter_codes(w), _letter_codes(inverse_word(w)))
+    first = min(codes[0] + codes[1])
+    best = min(
+        c[k:] + c[:k] for c in codes for k in range(len(c)) if c[k] == first
+    )
+    return tuple(-(c >> 1) if c & 1 else c >> 1 for c in best)
 
 
 def substitute(word: Sequence[int], replacements: dict[int, Word]) -> Word:
@@ -385,7 +390,7 @@ def coset_enumeration(
     if F.ngens == 0:
         return 1
     relators = sorted(
-        {canonical_relator(r) for r in F.relators if canonical_relator(r)},
+        {canonical_relator(r) for r in F.relators} - {()},
         key=lambda w: (len(w), w),
     )
     rel_cols = [[_CosetTable.col(x) for x in r] for r in relators]

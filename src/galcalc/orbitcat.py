@@ -8,9 +8,12 @@ exactly when H and K are conjugate, the skeleton on one representative
 per conjugacy class (``conjugacy_class_representatives``) is equivalent
 to the full orbit category, and equivalent categories have
 homotopy-equivalent nerves; the stable module pipeline builds only the
-skeleton.  The fundamental group of the nerve is presented with one
-generator per non-identity morphism, one relation per composable pair,
-and one trivializing relation per spanning tree edge.
+skeleton.  The fundamental group of the nerve is presented on a greedy
+generating set S of morphisms, each morphism written as a word in S:
+one relation per generator s and non-identity morphism into src(s), and
+one trivializing relation per edge of a spanning tree of the generator
+edges.  It is the same group as the edge-path presentation with one
+generator per morphism and one relation per composable pair.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .errors import BadBasepoint, EmptyFamily, SizeError
-from .fp import FpGroup, Word
+from .fp import FpGroup, Word, inverse_word
 from .perm import PermGroup, Subgroup
 
 MAX_FAMILY = 4096
@@ -333,13 +336,28 @@ def orbit_category(G: PermGroup, family: SubgroupFamily) -> FinCategory:
 
 
 def nerve_pi1_presentation(C: FinCategory, basepoint: Hashable) -> FpGroup:
-    """Fundamental group of the nerve at the basepoint's component.
+    """Fundamental group of the nerve at the basepoint's component,
+    presented on a generating set of morphisms.
 
-    Generators: the non-identity morphisms of the component.  Relations:
-    [g o f] = [g][f] for every composable pair (identity morphisms map to
-    the empty word), plus one trivializing relation per edge of a
-    breadth-first spanning tree rooted at the least object of the
-    component, edges taken in morphism-index order.
+    Generators: the set S picked greedily in morphism-index order, each
+    non-identity morphism of the component that is not yet a composite of
+    earlier picks.  Every morphism g gets a word w(g) in S that is
+    prefix-closed: w(id) is empty and w(s o h) = s w(h) for the morphism h
+    it was reached from.  Relations: s w(h) = w(s o h) for every s in S
+    and every non-identity h into src(s), plus one trivializing relation
+    per edge of a breadth-first spanning tree of the generator edges,
+    rooted at the least object of the component, edges taken in
+    morphism-index order.
+
+    This is the edge-path group of the nerve (Quillen, Higher algebraic
+    K-theory I, section 1), which has one generator [f] per morphism and
+    [g][f] = [g o f] for every composable pair, on a smaller set of
+    generators.  Induction on the length of w(g) gives
+    w(g) w(f) = w(g o f): for w(g) = s w(h), s w(h) w(f) = s w(h o f),
+    which is w(s o h o f) by a relation or, when h o f is an identity, by
+    w(s) = s.  So [f] -> w(f) and s -> [s] are inverse isomorphisms.
+    Every morphism is a composite of generators, so the generator edges
+    span the component, and any spanning tree gives the same group.
     """
     try:
         bp = C.objects.index(basepoint)
@@ -347,24 +365,45 @@ def nerve_pi1_presentation(C: FinCategory, basepoint: Hashable) -> FpGroup:
         raise BadBasepoint(f"{basepoint!r} is not an object") from None
     comp = next(c for c in C.object_components() if bp in c)
     comp_set = set(comp)
-    in_comp = [
+    morphisms, table = C.morphisms, C.compose_table
+    nonidentity = [
         i
-        for i, m in enumerate(C.morphisms)
-        if m.src in comp_set and m.dst in comp_set
+        for i, m in enumerate(morphisms)
+        if m.src in comp_set and not C.is_identity_morphism(i)
     ]
+    into: dict[int, list[int]] = {o: [] for o in comp}
+    for i in nonidentity:
+        into[morphisms[i].dst].append(i)
+    # greedy generating set; worded_into[o] lists the morphisms into o
+    # that have words, which stay closed under composing with generators
+    word: dict[int, Word] = {C.identity_of[o]: () for o in comp}
+    worded_into = {o: [C.identity_of[o]] for o in comp}
+    gens_from: dict[int, list[int]] = {o: [] for o in comp}
     gen_of: dict[int, int] = {}
-    for i in in_comp:
-        if not C.is_identity_morphism(i):
-            gen_of[i] = len(gen_of) + 1
-    # breadth-first spanning tree from the least object of the component
+    for m in nonidentity:
+        if m in word:
+            continue
+        gen_of[m] = len(gen_of) + 1
+        src = morphisms[m].src
+        gens_from[src].append(m)
+        # compose the new generator only with morphisms that already have
+        # words, so that every word extends an older one
+        queue = [(m, h) for h in worded_into[src]]
+        for s, h in queue:
+            g = table[(s, h)]
+            if g not in word:
+                word[g] = (gen_of[s],) + word[h]
+                dst = morphisms[g].dst
+                worded_into[dst].append(g)
+                queue.extend((t, g) for t in gens_from[dst])
+    # breadth-first spanning tree of the generator edges, each adjacency
+    # list in morphism-index order
     adjacency: dict[int, list[tuple[int, int]]] = {o: [] for o in comp}
-    for i in in_comp:
-        m = C.morphisms[i]
+    for s in gen_of:
+        m = morphisms[s]
         if m.src != m.dst:
-            adjacency[m.src].append((i, m.dst))
-            adjacency[m.dst].append((i, m.src))
-    for o in comp:
-        adjacency[o].sort()
+            adjacency[m.src].append((s, m.dst))
+            adjacency[m.dst].append((s, m.src))
     root = min(comp)
     visited = {root}
     tree_edges: set[int] = set()
@@ -378,15 +417,10 @@ def nerve_pi1_presentation(C: FinCategory, basepoint: Hashable) -> FpGroup:
                     tree_edges.add(mi)
                     nxt.append(other)
         frontier = nxt
-    relators: list[Word] = []
-    for t in sorted(tree_edges):
-        relators.append((gen_of[t],))
-    for (g, f), h in sorted(C.compose_table.items()):
-        if f not in gen_of or g not in gen_of:
-            # identity morphisms contribute the empty word: relation trivial
-            continue
-        word = [gen_of[g], gen_of[f]]
-        if h in gen_of:
-            word.append(-gen_of[h])
-        relators.append(tuple(word))
+    relators: list[Word] = [(gen_of[t],) for t in sorted(tree_edges)]
+    for s, k in gen_of.items():
+        for h in into[morphisms[s].src]:
+            lhs, rhs = (k,) + word[h], word[table[(s, h)]]
+            if lhs != rhs:  # the others hold by construction of the words
+                relators.append(lhs + inverse_word(rhs))
     return FpGroup(len(gen_of), tuple(relators))

@@ -6,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import galcalc
 from galcalc.catalogue import catalogue_group
@@ -16,6 +18,7 @@ from galcalc.fp import (
     abelianization,
     canonical_relator,
     coset_enumeration,
+    cyclic_reduce,
     free_reduce,
     identify_finite,
     in_integer_row_span,
@@ -37,6 +40,45 @@ def test_words():
     assert word_to_text((1, 2, -1)) == "abA"
     assert canonical_relator((2, 1, -2)) == (1,)
     assert canonical_relator((-1, -1)) == (1, 1)
+
+
+def _canonical_relator_oracle(word):
+    """Oracle: every rotation of the cyclic reduction and of its inverse,
+    compared by the key (generator, 0 if positive else 1) per letter."""
+
+    def key(w):
+        return tuple((abs(x), 0 if x > 0 else 1) for x in w)
+
+    w = cyclic_reduce(word)
+    if not w:
+        return ()
+    best = None
+    for cand in (w, inverse_word(w)):
+        for k in range(len(cand)):
+            rot = cand[k:] + cand[:k]
+            if best is None or key(rot) < key(best):
+                best = rot
+    return best
+
+
+_letters = st.sampled_from([1, -1, 2, -2, 3, -3, 4, -4])
+_words = st.one_of(
+    st.lists(_letters, max_size=40),
+    # long powers around short words: a^38, (ab)^k A^j, ...
+    st.tuples(
+        st.lists(_letters, min_size=1, max_size=3),
+        st.integers(1, 40),
+        st.lists(_letters, max_size=6),
+    ).map(lambda t: t[0] * t[1] + t[2]),
+)
+
+
+@given(_words)
+@example([1] * 38)
+@example([-1] * 38)
+@example([-4, 3, -4, 3, 2, -1])
+def test_canonical_relator_matches_oracle(word):
+    assert canonical_relator(word) == _canonical_relator_oracle(word)
 
 
 def test_parse_and_format():

@@ -21,6 +21,15 @@ fp:1:aa fp:1:aaa - -``), now ``Infinite`` by the amalgam certificate
 instead of ``Inconclusive`` at the coset bound, and the JSON of the A4
 gluing, whose report moved to schema 2 with a ``certificate`` field
 (null there).  The A4 text digest did not change.
+
+Four digests were retaken when ``nerve_pi1_presentation`` moved from one
+generator per morphism and one relation per composable pair to a greedy
+generating set of morphisms with one relation per generator and
+morphism into its source: the JSON of ``stmod S4 -p 2`` and ``stmod D8
+-p 2``, whose ``presentation`` field now presents the same nerve pi1 on
+fewer generators, and both outputs of ``orbit-nerve S4 -p 2``, which
+print that presentation (12 generators instead of 20 on S4 at p = 2).
+The ``stmod`` text digests and every ``pushout`` digest did not change.
 """
 
 import hashlib
@@ -42,11 +51,11 @@ DIGESTS = {
     ),
     "stmod S4 -p 2": (
         "73f8ebc5f339dd49d24e26e94f24e7d99571fa272d339e52018933615ba4017b",
-        "fcc1a7c169cc0bd8f00127487b05b7bb198e537591e1ab9a89ccfb8115c6d53c",
+        "c0157426ad337a0c82a4041a0b150f6e6b8047b092be4d39e45e366352215a82",
     ),
     "stmod D8 -p 2": (
         "b40f549d4effb21fd4aaf2caf99f01daa70770c28f7702b0f76de1613064984e",
-        "fe381e8dedfdebac7bb688afcad53eb785411d2efc57d3d1abdceecc2343cf0a",
+        "8c52fd749906af47359568b3fcba026653a75ab1ec0ec23c7e306f5c1ee3c64f",
     ),
     "hom S3 D8": (
         "a1e8540d610a582c47acb5ac41c7309973af64075c27cff691f8a78595bd4ed4",
@@ -61,8 +70,8 @@ DIGESTS = {
         "c15d95b4ac9eab2a777a8909aa645d9089a311c2ba1e439e676f7f9bf6f25584",
     ),
     "orbit-nerve S4 -p 2": (
-        "dcfed2ea5b926bf9f470c7fc241c7c037c945c159eb98e9e775ab89c0602e71b",
-        "09feb7e971f07016d1fb94dfe5f5526fc531efd623aa04877b514ddbcd02f4b2",
+        "64bd4dd9cdfcc966a091bd2dd7994b4aad958b641ff8b6cba8a4870213463a14",
+        "b09ba3db137a2435e288172d19fbc93c699b99bf29c98cb0c5bc83e1124f97b2",
     ),
     "pushout fp:1: fp:2:aa,bbb,ababab fp:1:aa a a": (
         "7dc131e6977a8a396794ef75315f15d5ce6796bab0e69dd630ac64771932886a",
