@@ -57,6 +57,7 @@ from .gset import classify_torsors
 from .perm import DEFAULT_MAX_ORDER, PermGroup
 from .pipelines import (
     CERT_FREE_RANK,
+    GaloisReport,
     cochains_report,
     galois_stmod,
     modg_report,
@@ -94,18 +95,22 @@ def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
         print(text)
 
 
-def _cmd_modg(args: argparse.Namespace) -> int:
-    report = modg_report(_group(args, args.group), args.prime)
+def _emit_named(args: argparse.Namespace, report: GaloisReport) -> int:
+    # to_json and display_name each run name_group: build only what is printed
     assert report.result_perm is not None
-    _emit(args, report.to_json(), display_name(report.result_perm))
+    if args.format == "json":
+        _emit(args, report.to_json(), "")
+    else:
+        _emit(args, {}, display_name(report.result_perm))
     return EXIT_OK
+
+
+def _cmd_modg(args: argparse.Namespace) -> int:
+    return _emit_named(args, modg_report(_group(args, args.group), args.prime))
 
 
 def _cmd_cochains(args: argparse.Namespace) -> int:
-    report = cochains_report(_group(args, args.group), args.prime)
-    assert report.result_perm is not None
-    _emit(args, report.to_json(), display_name(report.result_perm))
-    return EXIT_OK
+    return _emit_named(args, cochains_report(_group(args, args.group), args.prime))
 
 
 def _cmd_stmod(args: argparse.Namespace) -> int:

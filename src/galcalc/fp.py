@@ -12,12 +12,13 @@ pushouts of presentations.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .errors import CertificateError, CosetLimitExceeded, IllFormedMap, ParseError
-from .perm import Perm, PermGroup
+from .perm import Perm, PermGroup, search_generator_images
 
 Word = tuple[int, ...]
 
@@ -568,87 +569,33 @@ class IdentificationResult:
         }
 
 
-def _evaluate_word(word: Word, images: Sequence[Optional[Perm]], ident: Perm) -> Perm:
+def _evaluate_word(word: Word, images: Sequence[Perm], ident: Perm) -> Perm:
     out = ident
     for x in word:
-        img = images[abs(x) - 1]
-        assert img is not None
-        out = out * (img if x > 0 else img.inverse())
+        out = out * (images[x - 1] if x > 0 else images[-x - 1].inverse())
     return out
 
 
 def _surjection_witness(F: FpGroup, H: PermGroup) -> Optional[tuple[Perm, ...]]:
-    """Backtracking search for generator images forming a surjection.
+    """Images of F's generators in H that satisfy every relator and
+    generate H, or None, by the one search ``perm.search_generator_images``.
 
-    Runs over the index multiplication table of the candidate; relators
-    are checked as soon as their last generator is assigned, and pure
-    power relators g^m constrain the candidate images of g up front.
+    A relator on one generator, a power g^n, filters g's candidates to
+    the elements of order dividing n; every other relator is checked,
+    as a word of order 1, once its last generator has an image.
     """
-    import math
-
     k = F.ngens
-    if k == 0:
-        return () if H.order == 1 else None
-    els = H.elements
-    n = len(els)
-    index = {g: i for i, g in enumerate(els)}
-    mul = [[index[a * b] for b in els] for a in els]
-    inv = [index[a.inverse()] for a in els]
-    e = index[H.identity]
-    orders = [a.order() for a in els]
-    power_of: list[int] = [0] * (k + 1)
-    by_last: dict[int, list[Word]] = {g: [] for g in range(1, k + 1)}
+    power = [0] * k
+    checks: list[list[tuple[Word, int]]] = [[] for _ in range(k)]
     for r in F.relators:
-        gens_used = {abs(x) for x in r}
-        if len(gens_used) == 1:
-            g = next(iter(gens_used))
-            power_of[g] = math.gcd(power_of[g], len(r))
-        by_last[max(abs(x) for x in r)].append(r)
-    cand_lists: list[list[int]] = []
-    for g in range(1, k + 1):
-        if power_of[g]:
-            cand_lists.append(
-                [i for i in range(n) if power_of[g] % orders[i] == 0]
-            )
+        last = max(abs(x) for x in r)
+        if all(abs(x) == last for x in r):
+            power[last - 1] = math.gcd(power[last - 1], len(r))
         else:
-            cand_lists.append(list(range(n)))
-    images: list[int] = [0] * k
-
-    def evaluate(word: Word) -> int:
-        acc = e
-        for x in word:
-            i = images[abs(x) - 1]
-            acc = mul[acc][i] if x > 0 else mul[acc][inv[i]]
-        return acc
-
-    def generates_all() -> bool:
-        seen = {e} | set(images)
-        frontier = list(seen)
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for b in images:
-                    c = mul[a][b]
-                    if c not in seen:
-                        seen.add(c)
-                        nxt.append(c)
-            frontier = nxt
-        return len(seen) == n
-
-    def backtrack(depth: int) -> bool:
-        if depth == k:
-            return generates_all()
-        for i in cand_lists[depth]:
-            images[depth] = i
-            if all(evaluate(r) == e for r in by_last[depth + 1]):
-                if backtrack(depth + 1):
-                    return True
-        images[depth] = 0
-        return False
-
-    if backtrack(0):
-        return tuple(els[i] for i in images)
-    return None
+            checks[last - 1].append((r, 1))
+    elements = list(zip(H.elements, H.element_orders))
+    cands = [[h for h, o in elements if n % o == 0] for n in power]
+    return next(search_generator_images(H, cands, checks), None)
 
 
 def _abelianized_surjection_possible(
@@ -692,7 +639,9 @@ def identify_finite(
     subgroup, unless the caller has already certified it by one and
     passes it as ``certified_order``; only candidates of exactly that
     order pass to the witness search, after an abelianization
-    compatibility precheck.
+    compatibility precheck.  The witness search is
+    ``perm.search_generator_images``, the one search for generator
+    images, pruned by the relators; its witness is checked again here.
     """
     Fs = simplify(F) if presimplify else F
     order = certified_order

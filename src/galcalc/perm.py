@@ -16,7 +16,8 @@ image tuple, so all derived output (subgroups, quotients, homomorphism
 lists) is stable across runs.  A subgroup is a bitset over its parent's
 sorted element list, so containment, intersection, equality and hashing
 are integer operations, and conjugation maps bits through a
-per-element table of the parent.
+per-element table of the parent.  ``search_generator_images`` is the one
+search for generator images: isomorphisms, surjections and fp witnesses.
 Values are immutable after construction and safe to share across
 threads; lazy caches are filled at most once.
 """
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections import Counter
 from math import gcd
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -177,7 +179,7 @@ class PermGroup:
         self.max_order = max_order
         self._elements: Optional[tuple[Perm, ...]] = None
         self._defs: Optional[list[tuple[Perm, Optional[Perm], Optional[int]]]] = None
-        self._order_profile: Optional[dict[int, int]] = None
+        self._orders: Optional[tuple[int, ...]] = None
         self._index: Optional[dict[Perm, int]] = None
         self._conj_tables: dict[Perm, tuple[int, ...]] = {}
 
@@ -260,15 +262,16 @@ class PermGroup:
             other.elements
         )
 
+    @property
+    def element_orders(self) -> tuple[int, ...]:
+        """The order of the element at each position of the sorted list."""
+        if self._orders is None:
+            self._orders = tuple(g.order() for g in self.elements)
+        return self._orders
+
     def order_profile(self) -> dict[int, int]:
         """Map element order -> count; an isomorphism invariant."""
-        if self._order_profile is None:
-            prof: dict[int, int] = {}
-            for g in self.elements:
-                o = g.order()
-                prof[o] = prof.get(o, 0) + 1
-            self._order_profile = prof
-        return dict(self._order_profile)
+        return dict(Counter(self.element_orders))
 
     def small_generating_set(self) -> tuple[Perm, ...]:
         """Greedy generating set, scanning elements in sorted order."""
@@ -292,7 +295,7 @@ class PermGroup:
         """All elements of order exactly p, in sorted order.
 
         For p prime these are the g != identity with g^p = identity."""
-        return tuple(g for g in self.elements if g.order() == p)
+        return tuple(g for g, o in zip(self.elements, self.element_orders) if o == p)
 
     def normal_closure(self, seed: Iterable[Perm]) -> "Subgroup":
         """Smallest normal subgroup containing the given elements.
@@ -436,18 +439,6 @@ class PermGroup:
     def sylow_subgroups(self, p: int) -> list["Subgroup"]:
         """All Sylow p-subgroups: the conjugacy class of one."""
         return sorted(self.sylow_subgroup(p).conjugacy_class(), key=Subgroup.member_key)
-
-    def conjugacy_classes(self) -> list[tuple[Perm, ...]]:
-        """Conjugacy classes, each sorted, ordered by least member."""
-        remaining = set(self.elements)
-        classes = []
-        for g in self.elements:
-            if g not in remaining:
-                continue
-            cls = {x * g * x.inverse() for x in self.elements}
-            remaining -= cls
-            classes.append(tuple(sorted(cls)))
-        return classes
 
     def derived_subgroup(self) -> "Subgroup":
         """The commutator subgroup [G, G].
@@ -819,39 +810,93 @@ def hom_conjugacy_classes(G: PermGroup, H: PermGroup) -> list[list[GroupHom]]:
 def find_isomorphism(G: PermGroup, H: PermGroup) -> Optional[GroupHom]:
     """An isomorphism G -> H, or None; order profiles prune the search.
 
-    Between groups of equal order every surjection is an isomorphism.
-    """
-    if G.order != H.order:
+    Between groups of equal order every surjection is one.  It keeps the orders
+    of generators and pair products: ``search_generator_images`` checks both."""
+    if G.order != H.order or G.order_profile() != H.order_profile():
         return None
-    if G.order_profile() != H.order_profile():
-        return None
-    by_order: dict[int, list[Perm]] = {}
-    for h in H.elements:
-        by_order.setdefault(h.order(), []).append(h)
-    return _first_surjection(G, H, lambda g: by_order.get(g.order(), []))
+    return _first_surjection(G, H, int.__eq__, pair_orders=True)
 
 
 def find_surjection(G: PermGroup, H: PermGroup) -> Optional[GroupHom]:
     """A surjective homomorphism G -> H, or None."""
     if G.order % H.order != 0:
         return None
-    return _first_surjection(
-        G, H, lambda g: [h for h in H.elements if g.order() % h.order() == 0]
-    )
+    return _first_surjection(G, H, lambda a, b: a % b == 0, pair_orders=False)
 
 
 def _first_surjection(
-    G: PermGroup, H: PermGroup, candidates: Callable[[Perm], list[Perm]]
+    G: PermGroup, H: PermGroup, fits: Callable[[int, int], bool], pair_orders: bool
 ) -> Optional[GroupHom]:
-    """The first surjection G -> H whose images of the generators of
-    G.small_generating_set() are taken from ``candidates(generator)``,
-    scanning image tuples in product order."""
+    """The first surjection G -> H that ``extend_generator_map`` accepts; g
+    in G.small_generating_set() goes to an element of an order b with
+    ``fits(order of g, b)``, and with ``pair_orders`` g_i * g_d keeps its order."""
     gens = G.small_generating_set()
+    cands = [
+        [h for h, b in zip(H.elements, H.element_orders) if fits(a, b)]
+        for a in map(Perm.order, gens)
+    ]
+    checks = [
+        [((i + 1, d + 1), (gens[i] * g).order()) for i in range(d) if pair_orders]
+        for d, g in enumerate(gens)
+    ]
     presented = PermGroup(G.degree, gens, max_order=G.max_order)
-    for images in itertools.product(*(candidates(g) for g in gens)):
-        if len(_Closure(H.identity, images).members) != H.order:
-            continue
+    for images in search_generator_images(H, cands, checks):
         fmap = extend_generator_map(presented, images, H.identity)
         if fmap is not None:
             return GroupHom(G, H, [fmap[g] for g in G.generators], _map=fmap)
     return None
+
+
+def search_generator_images(
+    H: PermGroup,
+    candidates: Sequence[Sequence[Perm]],
+    checks: Sequence[Sequence[tuple[tuple[int, ...], int]]],
+) -> Iterator[tuple[Perm, ...]]:
+    """The one search for generator images: the tuples that generate H,
+    by backtracking in product order (Holt, Eick and O'Brien, Handbook of
+    Computational Group Theory, §4).
+
+    Image d comes from ``candidates[d]`` in list order; once it is set,
+    each check ``(word, m)`` in ``checks[d]`` must hold: the word's image
+    has order exactly m (m = 1 for a relator).  A word's letters are i for
+    generator i (1-based) and -i for its inverse, on generators 1..d+1.
+    With checks that every witness passes, a caller's acceptance test meets
+    the same first witness as on an ``itertools.product`` scan.  Words run
+    on positions in H's sorted element list, each product computed once.
+    """
+    els, index = H.elements, H.element_index
+    n, k, orders = len(els), len(candidates), H.element_orders
+    positions = [[index[h] for h in c] for c in candidates]
+    # letter i reads slot i - 1, and letter -i slot k + i - 1, its inverse
+    slot_checks = [
+        [(tuple(x - 1 if x > 0 else k - x - 1 for x in w), m) for w, m in c]
+        for c in checks
+    ]
+    inverted = {-x - 1 for c in checks for w, _ in c for x in w if x < 0}
+    inverse = {i: index[els[i].inverse()] for d in inverted for i in positions[d]}
+    products: dict[int, int] = {}
+    slots = [0] * (2 * k)
+
+    def holds(word: tuple[int, ...], m: int) -> bool:
+        acc = slots[word[0]]
+        for x in word[1:]:
+            b = slots[x]
+            key = acc * n + b
+            if key not in products:
+                products[key] = index[els[acc] * els[b]]
+            acc = products[key]
+        return orders[acc] == m
+
+    def walk(d: int) -> Iterator[tuple[Perm, ...]]:
+        if d == k:
+            gens = tuple(els[i] for i in slots[:k])
+            if len(_Closure(H.identity, gens).members) == n:
+                yield gens
+            return
+        for slots[d] in positions[d]:
+            if d in inverted:
+                slots[k + d] = inverse[slots[d]]
+            if all(holds(w, m) for w, m in slot_checks[d]):
+                yield from walk(d + 1)
+
+    return walk(0)

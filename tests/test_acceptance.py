@@ -192,3 +192,12 @@ def test_criterion_11_van_kampen_pushouts():
             rep = van_kampen_pushout(FpMap(Ck, Ck, ((1,),)), FpMap(Ck, Ck, ((1,),)))
             assert rep.identification.status == "Identified"
             assert rep.identification.match_name == name
+
+
+def test_criterion_12_modg_names_s6():
+    # p = 7 does not divide 720: the answer is S6 in degree 720.  The
+    # greedy generating set of S6 is five involutions, 75^5 image tuples
+    # without the pair-order checks of find_isomorphism
+    with _Timer("12 (modg S6 at 7 names S6)", 10.0):
+        assert name_group(galois_modg(catalogue_group("S6"), 7)) == "S6"
+        assert name_group(catalogue_group("S6")) == "S6"

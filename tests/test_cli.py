@@ -2,6 +2,9 @@
 
 import json
 
+import pytest
+
+from galcalc import catalogue
 from galcalc.cli import main
 
 
@@ -15,6 +18,34 @@ def test_modg_text(capsys):
     code, out, _ = run_cli(capsys, "modg", "Q8", "-p", "2")
     assert code == 0
     assert out.strip() == "C2 x C2 (order 4)"
+
+
+@pytest.mark.parametrize(
+    "spec, expected", [("S6", "S6 (order 720)"), ("A6", "A6 (order 360)")]
+)
+def test_modg_names_regular_representation(capsys, spec, expected):
+    # p = 7 divides neither order, so the answer is G itself acting on
+    # its own elements, in degree |G|
+    code, out, _ = run_cli(capsys, "modg", spec, "-p", "7")
+    assert code == 0
+    assert out.strip() == expected
+
+
+@pytest.mark.parametrize("command", ["modg", "cochains"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_result_named_once_per_run(capsys, monkeypatch, command, fmt):
+    calls = []
+    name_group = catalogue.name_group
+
+    def counted(G):
+        calls.append(G.order)
+        return name_group(G)
+
+    monkeypatch.setattr(catalogue, "name_group", counted)
+    code, out, _ = run_cli(capsys, command, "S4", "-p", "3", "--format", fmt)
+    assert code == 0
+    assert out.strip()
+    assert len(calls) == 1
 
 
 def test_stmod_text(capsys):

@@ -70,9 +70,22 @@ def test_order_p_elements():
         assert list(got) == sorted(direct)
 
 
+def conjugacy_classes(G):
+    """Conjugacy classes, each sorted, ordered by least member."""
+    remaining = set(G.elements)
+    classes = []
+    for g in G.elements:
+        if g not in remaining:
+            continue
+        cls = {x * g * x.inverse() for x in G.elements}
+        remaining -= cls
+        classes.append(tuple(sorted(cls)))
+    return classes
+
+
 def _all_normal_subgroups(G):
     """Oracle: normal subgroups are closures of unions of conjugacy classes."""
-    classes = G.conjugacy_classes()
+    classes = conjugacy_classes(G)
     ident_class = next(c for c in classes if G.identity in c)
     rest = [c for c in classes if c is not ident_class]
     found = {}
