@@ -563,7 +563,7 @@ class IdentificationResult:
             if self.match_name is None
             else {
                 "name": self.match_name,
-                "images": [list(p.images) for p in (self.witness or ())],
+                "images": [list(p) for p in (self.witness or ())],
             },
             "certified_order": self.certified_order,
         }

@@ -49,7 +49,7 @@ class GSet:
             if sorted(img) != list(range(n)):
                 raise ValueError("generator image is not a permutation of the carrier")
             gen_perms.append(Perm._raw(img))
-        self._gen_maps = tuple(g.images for g in gen_perms)
+        self._gen_maps = tuple(gen_perms)
         maps = extend_generator_map(group, gen_perms, Perm.identity(n))
         if maps is None:
             raise ValueError("generator images do not define a group action")
@@ -73,7 +73,7 @@ class GSet:
     def natural(cls, group: PermGroup) -> "GSet":
         """The defining action on the permutation points."""
         pts = range(group.degree)
-        return cls(group, pts, [list(g.images) for g in group.generators])
+        return cls(group, pts, group.generators)
 
     @classmethod
     def coset_action(cls, H: Subgroup) -> "GSet":
@@ -92,10 +92,10 @@ class GSet:
         return f"GSet({len(self.points)} points over {self.group!r})"
 
     def act(self, g: Perm, point: int) -> int:
-        return self._maps[g].images[point]
+        return self._maps[g][point]
 
     def action_map(self, g: Perm) -> tuple[int, ...]:
-        return self._maps[g].images
+        return self._maps[g]
 
     def orbits(self) -> list[tuple[int, ...]]:
         """Orbit partition of the carrier, in least-point order."""

@@ -148,7 +148,7 @@ class FinCategory:
                     info.append(
                         {
                             "subgroup_order": payload.order,
-                            "members": [list(m.images) for m in payload.members],
+                            "members": [list(m) for m in payload.members],
                         }
                     )
                 else:

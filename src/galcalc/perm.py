@@ -1,25 +1,28 @@
 """Exact arithmetic for finite permutation groups.
 
-Elements are permutations of {0, ..., degree-1} stored as image tuples.
-A whole group is enumerated once by breadth-first closure over its
-generators, which also records the words that ``extend_generator_map``,
-the one routine that builds and verifies homomorphisms and G-set
-actions, extends generator images along.  Generated subgroups (elementary
-abelian and Sylow subgroups, generating sets, the generation tests of
-the isomorphism search) are closed by Dimino's algorithm, at about one
-product per element of the result.  A normal closure is that closure of
-its seed, grown by the conjugates of its own generators by the group's
-generators.  ``Subgroup.cosets`` is the one left-coset routine; a
-quotient G/N is the action on the cosets of N, certified by
-|G/N| * |N| = |G|.  Every element list is sorted lexicographically by
-image tuple, so all derived output (subgroups, quotients, homomorphism
-lists) is stable across runs.  A subgroup is a bitset over its parent's
-sorted element list, so containment, intersection, equality and hashing
-are integer operations, and conjugation maps bits through a
-per-element table of the parent.  ``search_generator_images`` is the one
-search for generator images: isomorphisms, surjections and fp witnesses.
-Values are immutable after construction and safe to share across
-threads; lazy caches are filled at most once.
+Elements are permutations of {0, ..., degree-1}, each a ``Perm``: a
+tuple subclass that is its own image tuple, so hashing, equality and the
+lexicographic order are tuple's, in C, and a product is one
+``operator.itemgetter`` call.  A whole group is enumerated once by
+breadth-first closure over its generators, which also records the words
+that ``extend_generator_map``, the one routine that builds and verifies
+homomorphisms and G-set actions, extends generator images along.
+Generated subgroups (elementary abelian and Sylow subgroups, generating
+sets, the generation tests of the isomorphism search) are closed by
+Dimino's algorithm, at about one product per element of the result.  A
+normal closure is that closure of its seed, grown by the conjugates of
+its own generators by the group's generators.  ``Subgroup.cosets`` is
+the one left-coset routine; a quotient G/N is the action on the cosets
+of N, certified by |G/N| * |N| = |G|.  Every element list is sorted
+lexicographically by image tuple, so all derived output (subgroups,
+quotients, homomorphism lists) is stable across runs.  A subgroup is a
+bitset over its parent's sorted element list, so containment,
+intersection, equality and hashing are integer operations, and
+conjugation maps bits through a per-element table of the parent.
+``search_generator_images`` is the one search for generator images:
+isomorphisms, surjections and fp witnesses.  Values are immutable after
+construction and safe to share across threads; lazy caches are filled at
+most once.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import itertools
 import re
 from collections import Counter
 from math import gcd
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import CertificateError, NotNormal, SizeError
@@ -37,27 +41,31 @@ HOM_SEARCH_BOUND = 10**7
 _ONE = re.compile("1")
 
 
-class Perm:
-    """A permutation of {0, ..., degree-1}, stored as its image tuple."""
+class Perm(tuple):
+    """A permutation of {0, ..., degree-1}: the tuple of its images.
 
-    __slots__ = ("images",)
+    Hashing, equality and order are tuple's: ``hash(p) == hash(tuple(p))``
+    and a Perm equals the plain tuple of its images.  ``len(p)`` is the
+    degree, a degree-0 Perm is falsy, and ``+`` and ``int * p`` are tuple's;
+    ``p * q`` is the product, q first.  ``images`` returns the Perm itself,
+    kept for readers outside this package."""
 
-    def __init__(self, images: Iterable[int]):
-        imgs = tuple(images)
-        if sorted(imgs) != list(range(len(imgs))):
-            raise ValueError(f"not a permutation of 0..{len(imgs) - 1}: {imgs!r}")
-        self.images = imgs
+    __slots__ = ()
 
-    @classmethod
-    def _raw(cls, images: tuple[int, ...]) -> "Perm":
-        # fast path for image tuples already known to be permutations
-        p = cls.__new__(cls)
-        p.images = images
+    def __new__(cls, images: Iterable[int]) -> "Perm":
+        p = tuple.__new__(cls, images)
+        if sorted(p) != list(range(len(p))):
+            raise ValueError(f"not a permutation of 0..{len(p) - 1}: {tuple(p)!r}")
         return p
 
     @classmethod
+    def _raw(cls, images: Iterable[int]) -> "Perm":
+        # fast path for images already known to form a permutation
+        return tuple.__new__(cls, images)
+
+    @classmethod
     def identity(cls, degree: int) -> "Perm":
-        return cls(range(degree))
+        return tuple.__new__(cls, range(degree))
 
     @classmethod
     def from_cycles(cls, degree: int, cycles: Sequence[Sequence[int]]) -> "Perm":
@@ -71,27 +79,29 @@ class Perm:
         return cls(imgs)
 
     @property
-    def degree(self) -> int:
-        return len(self.images)
+    def images(self) -> "Perm":
+        return self
 
-    def __call__(self, point: int) -> int:
-        return self.images[point]
+    @property
+    def degree(self) -> int:
+        return len(self)
+
+    __call__ = tuple.__getitem__
 
     def __mul__(self, other: "Perm") -> "Perm":
-        # (self * other)(x) = self(other(x)): apply other first.
-        a = self.images
-        return Perm._raw(tuple(a[b] for b in other.images))
+        # (self * other)(x) = self(other(x)): apply other first.  itemgetter
+        # needs two indices or more to return a tuple.
+        if len(other) > 1:
+            return tuple.__new__(Perm, itemgetter(*other)(self))
+        return tuple.__new__(Perm, [self[b] for b in other])
 
     def inverse(self) -> "Perm":
-        inv = [0] * len(self.images)
-        for x, y in enumerate(self.images):
-            inv[y] = x
-        return Perm._raw(tuple(inv))
+        return tuple.__new__(Perm, sorted(range(len(self)), key=self.__getitem__))
 
     def __pow__(self, n: int) -> "Perm":
         if n < 0:
             return self.inverse() ** (-n)
-        result = Perm.identity(self.degree)
+        result = Perm.identity(len(self))
         base = self
         while n:
             if n & 1:
@@ -101,22 +111,22 @@ class Perm:
         return result
 
     def is_identity(self) -> bool:
-        return all(i == x for i, x in enumerate(self.images))
+        return self == tuple(range(len(self)))
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each rotated to start at its least point."""
-        seen = [False] * len(self.images)
+        seen = [False] * len(self)
         out = []
-        for start in range(len(self.images)):
+        for start in range(len(self)):
             if seen[start]:
                 continue
             cyc = [start]
             seen[start] = True
-            x = self.images[start]
+            x = self[start]
             while x != start:
                 seen[x] = True
                 cyc.append(x)
-                x = self.images[x]
+                x = self[x]
             if len(cyc) > 1:
                 out.append(tuple(cyc))
         return out
@@ -124,7 +134,7 @@ class Perm:
     def cycle_type(self) -> tuple[int, ...]:
         """Multiset of cycle lengths including fixed points, descending."""
         lengths = [len(c) for c in self.cycles()]
-        fixed = len(self.images) - sum(lengths)
+        fixed = len(self) - sum(lengths)
         return tuple(sorted(lengths, reverse=True) + [1] * fixed)
 
     def order(self) -> int:
@@ -133,23 +143,16 @@ class Perm:
             n = n * len(c) // gcd(n, len(c))
         return n
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Perm) and self.images == other.images
-
-    def __hash__(self) -> int:
-        return hash(self.images)
-
-    def __lt__(self, other: "Perm") -> bool:
-        return self.images < other.images
-
-    def __le__(self, other: "Perm") -> bool:
-        return self.images <= other.images
-
     def __repr__(self) -> str:
         cyc = self.cycles()
         if not cyc:
-            return f"Perm(id/{self.degree})"
+            return f"Perm(id/{len(self)})"
         return "".join("(" + " ".join(str(x) for x in c) + ")" for c in cyc)
+
+
+# The product, bound at import: the conjugations in conjugation_table and
+# normal_closure stay unseen by a rebinding of Perm.__mul__ (galbench's count).
+_compose = Perm.__mul__
 
 
 class PermGroup:
@@ -237,11 +240,9 @@ class PermGroup:
     def conjugation_table(self, g: Perm) -> tuple[int, ...]:
         """Position of g * x * g^-1 for the element x at each position."""
         if g not in self._conj_tables:
-            index, a, ginv = self.element_index, g.images, g.inverse().images
-            # (g x g^-1)(y) = g(x(g^-1(y))), one pass per element
+            index, ginv = self.element_index, g.inverse()
             self._conj_tables[g] = tuple(
-                index[Perm._raw(tuple([a[x.images[b]] for b in ginv]))]
-                for x in self.elements
+                index[_compose(_compose(g, x), ginv)] for x in self.elements
             )
         return self._conj_tables[g]
 
@@ -307,12 +308,10 @@ class PermGroup:
         least such, as all it adds are conjugates (Holt, Eick and O'Brien,
         Handbook of Computational Group Theory)."""
         N = _Closure(self.identity, seed)
-        conj = [(x.images, x.inverse().images) for x in self.generators]
+        conj = [(x, x.inverse()) for x in self.generators]
         for n in N.gens:  # gens grows while it is scanned
-            b = n.images
-            for a, ainv in conj:
-                # (x n x^-1)(y) = x(n(x^-1(y)))
-                N.add(Perm._raw(tuple([a[b[y]] for y in ainv])))
+            for x, xinv in conj:
+                N.add(_compose(_compose(x, n), xinv))
         return Subgroup(self, N.members, _closed=True)
 
     def centralizer(self, elems: Iterable[Perm]) -> "Subgroup":
@@ -349,7 +348,7 @@ class PermGroup:
         reps, index = N.cosets()
         # x permutes the cosets: x * rN = (x * r)N
         gen_images = [
-            Perm._raw(tuple([index[x * r] for r in reps])) for x in self.generators
+            Perm._raw([index[x * r] for r in reps]) for x in self.generators
         ]
         qname = f"{self.name}/N" if self.name else None
         Q = PermGroup(len(reps), gen_images, name=qname, max_order=self.max_order)
@@ -368,9 +367,9 @@ class PermGroup:
         p_elems = self.order_p_elements(p)
         commuting = dict.fromkeys(p_elems, 0)
         for i, x in enumerate(p_elems):
-            a = x.images  # xy = yx iff x(v) = y(u) for u = x(k), v = y(k), all k
             for y in p_elems[i:]:
-                if all(a[v] == y.images[u] for u, v in zip(a, y.images)):
+                # xy = yx iff x(v) = y(u) for u = x(k), v = y(k), all k
+                if all(x[v] == y[u] for u, v in zip(x, y)):
                     commuting[x] |= 1 << index[y]
                     commuting[y] |= 1 << index[x]
         p_bits = sum(1 << index[x] for x in p_elems)
@@ -584,7 +583,7 @@ class Subgroup:
         return self.bits.bit_count()
 
     def member_key(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(m.images for m in self.members)
+        return self.members
 
     def __contains__(self, g: Perm) -> bool:
         i = self.parent.element_index.get(g)
@@ -706,7 +705,7 @@ class GroupHom:
         return hash((id(self.source), id(self.target), self.gen_images))
 
     def key(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(p.images for p in self.gen_images)
+        return self.gen_images
 
     def __repr__(self) -> str:
         return f"GroupHom({self.source!r} -> {self.target!r}, {list(self.gen_images)})"
@@ -799,7 +798,7 @@ def hom_conjugacy_classes(G: PermGroup, H: PermGroup) -> list[list[GroupHom]]:
         if f.key() in assigned:
             continue
         orbit = {
-            tuple((x * fi * xi).images for fi in f.gen_images)
+            tuple(x * fi * xi for fi in f.gen_images)
             for x, xi in conjugators
         }
         assigned |= orbit
