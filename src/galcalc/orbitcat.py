@@ -8,12 +8,16 @@ exactly when H and K are conjugate, the skeleton on one representative
 per conjugacy class (``conjugacy_class_representatives``) is equivalent
 to the full orbit category, and equivalent categories have
 homotopy-equivalent nerves; the stable module pipeline builds only the
-skeleton.  The fundamental group of the nerve is presented on a greedy
-generating set S of morphisms, each morphism written as a word in S:
-one relation per generator s and non-identity morphism into src(s), and
-one trivializing relation per edge of a spanning tree of the generator
-edges.  It is the same group as the edge-path presentation with one
-generator per morphism and one relation per composable pair.
+skeleton.  Its family, the nontrivial elementary abelian p-subgroups,
+needs no closure: a conjugate of one is one, and so is a nontrivial
+intersection of two, being a subgroup of either.  ``close_family``
+closes any other seed.  The fundamental group of the nerve is presented
+on a greedy generating set S of morphisms, each morphism written as a
+word in S: one relation per generator s and non-identity morphism into
+src(s), and one trivializing relation per edge of a spanning tree of
+the generator edges.  It is the same group as the edge-path
+presentation with one generator per morphism and one relation per
+composable pair.
 """
 
 from __future__ import annotations
@@ -202,52 +206,11 @@ def category_from_poset(
 # -- subgroup families ------------------------------------------------------
 
 
-class SubgroupFamily:
-    """A family of subgroups with verified closure flags.
-
-    The flags record what actually holds of the member list: closure
-    under conjugation by the ambient group, closure under pairwise
-    intersection, and containment of the trivial subgroup.
-    """
-
-    def __init__(self, group: PermGroup, members: Iterable[Subgroup]):
-        self.group = group
-        dedup: dict[int, Subgroup] = {}
-        for H in members:
-            if H.parent is not group:
-                raise ValueError("family member from a different group")
-            dedup.setdefault(H.bits, H)
-        self.members: tuple[Subgroup, ...] = tuple(
-            sorted(dedup.values(), key=lambda s: (s.order, s.member_key()))
-        )
-        self.closed_under_conjugation = all(
-            H.conjugate(g).bits in dedup
-            for H in self.members
-            for g in group.generators
-        )
-        pairs = ((a, b) for a in dedup for b in dedup)
-        self.closed_under_intersection = all(a & b in dedup for a, b in pairs)
-        self.contains_trivial = any(H.order == 1 for H in self.members)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __repr__(self) -> str:
-        return (
-            f"SubgroupFamily({len(self.members)} subgroups, "
-            f"conj={self.closed_under_conjugation}, "
-            f"int={self.closed_under_intersection})"
-        )
-
-
-def close_family(
-    G: PermGroup, seed: Iterable[Subgroup], drop_trivial: bool = False
-) -> SubgroupFamily:
+def close_family(G: PermGroup, seed: Iterable[Subgroup]) -> tuple[Subgroup, ...]:
     """Smallest family containing the seed, closed under conjugation by G
-    and pairwise intersection; the trivial subgroup is removed iff
-    ``drop_trivial``.  Every element of G is a positive word in the
-    generators, so closing under conjugation by the generators closes
-    under conjugation by G."""
+    and pairwise intersection, sorted by (order, member_key).  Every
+    element of G is a positive word in the generators, so closing under
+    conjugation by the generators closes under conjugation by G."""
     current: dict[int, Subgroup] = {}
     queue = list(seed)
     while queue:
@@ -264,18 +227,15 @@ def close_family(
         for other in list(current):
             if H.bits & other not in current:
                 queue.append(H.intersection(current[other]))
-    members = list(current.values())
-    if drop_trivial:
-        members = [H for H in members if H.order > 1]
-    return SubgroupFamily(G, members)
+    return tuple(sorted(current.values(), key=lambda s: (s.order, s.member_key())))
 
 
-def conjugacy_class_representatives(family: SubgroupFamily) -> list[Subgroup]:
-    """One member per G-conjugacy class of the family: the first member
-    of its class in the family's (order, member_key) order."""
+def conjugacy_class_representatives(subs: Sequence[Subgroup]) -> list[Subgroup]:
+    """One member per G-conjugacy class of ``subs``: the first member of
+    its class in the given order.  Each class is walked once."""
     seen: set[int] = set()
     reps: list[Subgroup] = []
-    for H in family.members:
+    for H in subs:
         if H.bits not in seen:
             reps.append(H)
             seen.update(C.bits for C in H.conjugacy_class())
@@ -285,19 +245,19 @@ def conjugacy_class_representatives(family: SubgroupFamily) -> list[Subgroup]:
 # -- orbit categories --------------------------------------------------------
 
 
-def orbit_category(G: PermGroup, family: SubgroupFamily) -> FinCategory:
-    """The orbit category on G/H for H in the family.
+def orbit_category(G: PermGroup, subs: Sequence[Subgroup]) -> FinCategory:
+    """The orbit category on G/H for H in ``subs``, in the given order.
 
-    One object per family member (conjugate members give isomorphic
-    objects, so a family of class representatives gives the skeleton);
-    hom(G/H, G/K) = {gK : g^-1 H g <= K} with composition
-    (gK then g'L) = g g' L and identity eH.
+    One object per member (conjugate members give isomorphic objects, so
+    class representatives give the skeleton); hom(G/H, G/K) =
+    {gK : g^-1 H g <= K} with composition (gK then g'L) = g g' L and
+    identity eH.
     """
-    if family.group is not G:
-        raise ValueError("family belongs to a different group")
-    if not family.members:
+    subs = tuple(subs)
+    if any(H.parent is not G for H in subs):
+        raise ValueError("family member from a different group")
+    if not subs:
         raise EmptyFamily("orbit category over an empty family")
-    subs = family.members
     coset_reps, coset_index = zip(*(K.cosets() for K in subs))
     morphisms: list[Morphism] = []
     mor_index: dict[tuple[int, int, int], int] = {}

@@ -356,10 +356,9 @@ class PermGroup:
             raise CertificateError("coset action kernel is not the subgroup")
         return Q
 
-    def elementary_abelian_p_subgroups(
-        self, p: int, include_trivial: bool = False
-    ) -> list["Subgroup"]:
-        """All subgroups isomorphic to (Z/p)^r, r >= 1 (or r >= 0).
+    def elementary_abelian_p_subgroups(self, p: int) -> list["Subgroup"]:
+        """All subgroups isomorphic to (Z/p)^r, r >= 1, sorted by
+        (order, member_key).
 
         H extends to H x <y> by each order-p y outside H commuting with
         H's generators: the bits of the AND of their commuting bitsets."""
@@ -392,10 +391,7 @@ class PermGroup:
                         if len(found) > 4096:
                             raise SizeError("elementary abelian search blow-up")
             layer = nxt
-        out = sorted(found.values(), key=lambda s: (s.order, s.member_key()))
-        if include_trivial:
-            out.insert(0, self.trivial_subgroup())
-        return out
+        return sorted(found.values(), key=lambda s: (s.order, s.member_key()))
 
     def p_residual(self, p: int) -> "Subgroup":
         """Smallest normal subgroup with p-power index.
@@ -709,14 +705,6 @@ class GroupHom:
 
     def __repr__(self) -> str:
         return f"GroupHom({self.source!r} -> {self.target!r}, {list(self.gen_images)})"
-
-    def kernel(self) -> Subgroup:
-        ident = self.target.identity
-        return Subgroup(
-            self.source,
-            (g for g, img in self._map.items() if img == ident),
-            _closed=True,
-        )
 
     def is_surjective(self) -> bool:
         return len(set(self._map.values())) == self.target.order

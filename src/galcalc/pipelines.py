@@ -15,7 +15,11 @@ separably closed field k of characteristic p:
   apply (central order-p element, Sylow triple intersections, rank-one
   Weyl group).  The nerve is built on the skeleton, one object per
   conjugacy class of subgroups: an equivalent category, so its nerve is
-  homotopy equivalent and has the same fundamental group.
+  homotopy equivalent and has the same fundamental group.  The family
+  of nontrivial elementary abelian p-subgroups is closed under
+  conjugation and nontrivial intersection as it stands, so one walk
+  over its conjugacy classes gives the skeleton, and the skeleton's
+  maximal objects are its maximal classes.
 
 ``van_kampen_pushout`` wraps the pushout of presentations with its
 abelianization and either an infiniteness certificate (free rank or
@@ -48,8 +52,6 @@ from .fp import (
 )
 from .orbitcat import (
     FinCategory,
-    SubgroupFamily,
-    close_family,
     conjugacy_class_representatives,
     nerve_pi1_presentation,
     orbit_category,
@@ -116,24 +118,6 @@ def sylow_triple_condition(G: PermGroup, p: int) -> bool:
     # the identity is the least element, so the trivial subgroup is bit 0
     triples = itertools.combinations_with_replacement(sylows, 3)
     return all(a & b & c != 1 for a, b, c in triples)
-
-
-def maximal_elementary_abelian_classes(
-    G: PermGroup, subs: Sequence[Subgroup]
-) -> list[list[Subgroup]]:
-    """Conjugacy classes of the maximal members of ``subs``, which is
-    ``G.elementary_abelian_p_subgroups(p)``."""
-    sized = [(K.order, K.bits) for K in subs]
-    class_of: dict[int, list[Subgroup]] = {}
-    classes: list[list[Subgroup]] = []
-    for (o, h), H in zip(sized, subs):
-        if any(k > o and h & b == h for k, b in sized):
-            continue  # not maximal
-        if h not in class_of:
-            classes.append([])
-            class_of.update((C.bits, classes[-1]) for C in H.conjugacy_class())
-        class_of[h].append(H)
-    return classes
 
 
 @dataclass(frozen=True)
@@ -210,7 +194,7 @@ class GaloisReport:
 def stmod_candidates(
     G: PermGroup,
     modg: PermGroup,
-    classes: Sequence[Sequence[Subgroup]],
+    maximal: Sequence[Subgroup],
     order: int,
 ) -> list[PermGroup]:
     """Candidate pool for identifying a nerve fundamental group of the
@@ -218,37 +202,36 @@ def stmod_candidates(
 
     In order of precedence: the trivial group, the catalogue groups of
     that order (none above |G|), the representation-category quotient
-    ``modg``, and the Weyl group of each maximal elementary abelian class
-    representative in ``classes``: every special-case answer lies here.
+    ``modg``, and the Weyl group of each representative in ``maximal``,
+    one per class of maximal elementary abelian p-subgroups: every
+    special-case answer lies here.
     """
     specs = standard_catalogue(order, exact=True) if order <= G.order else []
     pool: list[PermGroup] = [catalogue_group("C1")]
     pool += [catalogue_group(spec) for spec in specs if spec != "C1"]
     modg.name = modg.name or "modg-quotient"
     pool.append(modg)
-    for i, cls in enumerate(classes):
-        W = weyl_group(G, cls[0])
+    for i, H in enumerate(maximal):
+        W = weyl_group(G, H)
         W.name = W.name or f"weyl-class-{i}"
         pool.append(W)
     return pool
 
 
 def galois_stmod(
-    G: PermGroup,
-    p: int,
-    max_cosets: int = DEFAULT_MAX_COSETS,
-    candidates: Optional[Sequence[PermGroup]] = None,
+    G: PermGroup, p: int, max_cosets: int = DEFAULT_MAX_COSETS
 ) -> GaloisReport:
     """Galois group of the stable module category via the orbit nerve.
 
     Requires p to divide |G| (otherwise the category is trivial and its
-    Galois groupoid empty: POrderError).  Builds the conjugation- and
-    intersection-closed family of nontrivial elementary abelian
-    p-subgroups and presents the fundamental group of the nerve of the
-    reduced orbit category.  One coset enumeration certifies its order
-    (Inconclusive at the coset bound); only then is the candidate pool of
-    that order built and the group identified against it.  Every
-    applicable special-case cross-check runs.
+    Galois groupoid empty: POrderError).  Presents the fundamental group
+    of the nerve of the reduced orbit category on the nontrivial
+    elementary abelian p-subgroups, built on its skeleton
+    (``orbit_nerve``), whose maximal objects give the maximal classes.
+    One coset enumeration certifies the order (Inconclusive at the coset
+    bound); only then is the candidate pool of that order built and the
+    group identified against it.  Every applicable special-case
+    cross-check runs.
     """
     _require_prime(p)
     if G.order % p != 0:
@@ -256,10 +239,9 @@ def galois_stmod(
             f"prime {p} does not divide |G| = {G.order}: "
             "the stable module category is zero and its Galois groupoid empty"
         )
-    subs = G.elementary_abelian_p_subgroups(p)
     modg = galois_modg(G, p)
-    classes = maximal_elementary_abelian_classes(G, subs)
-    _, components, F = orbit_nerve(G, subs)
+    cat, components, F = orbit_nerve(G, G.elementary_abelian_p_subgroups(p))
+    maximal = maximal_representatives(cat)
     Fs = simplify(F)
     weyl = None
     try:
@@ -267,11 +249,8 @@ def galois_stmod(
     except CosetLimitExceeded:
         ident = IdentificationResult(status=INCONCLUSIVE)
     else:
-        if candidates is None:
-            pool = stmod_candidates(G, modg, classes, order)
-            weyl = pool[len(pool) - len(classes)]  # of classes[0][0]
-        else:
-            pool = list(candidates)
+        pool = stmod_candidates(G, modg, maximal, order)
+        weyl = pool[-1]  # the pool ends with the Weyl group of maximal[-1]
         ident = identify_finite(Fs, pool, presimplify=False, certified_order=order)
     report = GaloisReport(
         group_spec=G.name or f"<order {G.order}>",
@@ -282,27 +261,40 @@ def galois_stmod(
         identification=ident,
         pi0_components=components,
     )
-    return stmod_cross_check(G, p, report, modg, classes, weyl)
+    return stmod_cross_check(G, p, report, modg, maximal, weyl)
 
 
 def orbit_nerve(
     G: PermGroup, subs: Sequence[Subgroup]
 ) -> tuple[FinCategory, int, FpGroup]:
-    """The skeleton of the reduced orbit category on the closed family
-    generated by ``subs``, its number of nerve components, and the
-    nerve's pi1 presentation at the least object.
+    """The skeleton of the reduced orbit category on ``subs``, its number
+    of nerve components, and the nerve's pi1 presentation at the least
+    object.
 
-    The skeleton has one object per conjugacy class of the family, the
-    class's least member, so object 0 is the family's least member.  It
-    is equivalent to the orbit category on the whole family, and
-    equivalent categories have homotopy-equivalent nerves, so pi0 and
-    pi1 are those of the full nerve.
+    ``subs`` is ``G.elementary_abelian_p_subgroups(p)``, every nontrivial
+    elementary abelian p-subgroup in (order, member_key) order.  That
+    family is closed under conjugation and under nontrivial intersection
+    as it stands, so no closure runs.  The skeleton has one object per
+    conjugacy class, the class's least member, so object 0 is the
+    family's least member.  It is equivalent to the orbit category on
+    the whole family, and equivalent categories have homotopy-equivalent
+    nerves, so pi0 and pi1 are those of the full nerve.
     """
-    family = close_family(G, subs, drop_trivial=True)
-    skeleton = SubgroupFamily(G, conjugacy_class_representatives(family))
-    cat = orbit_category(G, skeleton)
+    cat = orbit_category(G, conjugacy_class_representatives(subs))
     F = nerve_pi1_presentation(cat, min(cat.objects))
     return cat, len(cat.object_components()), F
+
+
+def maximal_representatives(cat: FinCategory) -> list[Subgroup]:
+    """The subgroups at the objects of a skeletal orbit category that map
+    to no other object, in object order.
+
+    G/H -> G/K exists iff a conjugate of H lies in K, and distinct
+    objects are not conjugate, so on the skeleton of a conjugation-closed
+    family these are the representatives of its maximal classes.
+    """
+    below = {m.src for m in cat.morphisms if m.src != m.dst}
+    return [H for o, H in enumerate(cat.object_info) if o not in below]
 
 
 def stmod_cross_check(
@@ -310,16 +302,17 @@ def stmod_cross_check(
     p: int,
     report: GaloisReport,
     modg: PermGroup,
-    classes: Sequence[Sequence[Subgroup]],
+    maximal: Sequence[Subgroup],
     weyl: Optional[PermGroup] = None,
 ) -> GaloisReport:
     """Record agreement with every special-case theorem that applies.
 
     Central order-p element and Sylow-triple cases compare against the
     representation-category quotient ``modg``; a single conjugacy class
-    of rank-one maximal elementary abelians in ``classes`` compares
-    against its Weyl group, ``weyl`` when the caller has it already.
-    Isomorphism is tested on groups, never on names.
+    of rank-one maximal elementary abelians, ``maximal`` holding one
+    representative per class, compares against its Weyl group.  The
+    caller passes ``weyl``, the Weyl group of ``maximal[-1]``, when it
+    has it already.  Isomorphism is tested on groups, never on names.
     """
     nerve_result = report.result_group()
 
@@ -340,8 +333,8 @@ def stmod_cross_check(
         modg_agreed = agrees(modg)
         detail = f"modg quotient has order {modg.order}"
         checks += [CrossCheck(path, modg_agreed, detail) for path in modg_paths]
-    if len(classes) == 1 and classes[0][0].order == p:
-        target = weyl if weyl is not None else weyl_group(G, classes[0][0])
+    if len(maximal) == 1 and maximal[0].order == p:
+        target = weyl if weyl is not None else weyl_group(G, maximal[0])
         checks.append(
             CrossCheck(
                 PATH_WEYL,

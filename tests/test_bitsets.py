@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from galcalc.catalogue import catalogue_group, standard_catalogue
+from galcalc.orbitcat import conjugacy_class_representatives
 from galcalc.perm import _Closure
-from galcalc.pipelines import maximal_elementary_abelian_classes
 
 GROUPS = {spec: catalogue_group(spec) for spec in ("S4", "S5")}
 
@@ -105,22 +105,14 @@ def sylow_oracle(G, p):
     return sorted(all_conjugates(G, P.members), key=lambda m: sorted(m))
 
 
-def maximal_classes_oracle(G, subs):
-    """The parent's maximal classes: compare by conjugating with all of G."""
-    maximal = [
-        H
-        for H in subs
-        if not any(H is not K and set(H.members) <= set(K.members) for K in subs)
-    ]
-    classes = []
-    for H in maximal:
-        for cls in classes:
-            if frozenset(cls[0].members) in all_conjugates(G, H.members):
-                cls.append(H)
-                break
-        else:
-            classes.append([H])
-    return classes
+def class_representatives_oracle(G, subs):
+    """The first member of each class: compare by conjugating with all of G."""
+    reps, seen = [], set()
+    for H in subs:
+        if frozenset(H.members) not in seen:
+            reps.append(H)
+            seen |= all_conjugates(G, H.members)
+    return reps
 
 
 def elementary_abelian_oracle(G, p):
@@ -160,6 +152,6 @@ def test_generator_walk_matches_all_elements_conjugation():
         assert [frozenset(S.members) for S in sylows] == sylow_oracle(G, p), (spec, p)
         subs = G.elementary_abelian_p_subgroups(p)
         assert [frozenset(H.members) for H in subs] == elementary_abelian_oracle(G, p)
-        got = maximal_elementary_abelian_classes(G, subs)
-        want = maximal_classes_oracle(G, subs)
-        assert [[H.bits for H in c] for c in got] == [[H.bits for H in c] for c in want]
+        got = conjugacy_class_representatives(subs)
+        want = class_representatives_oracle(G, subs)
+        assert [H.bits for H in got] == [H.bits for H in want], (spec, p)

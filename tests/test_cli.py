@@ -205,13 +205,17 @@ def test_json_deterministic_across_processes():
     import subprocess
     import sys
 
-    outputs = []
-    for seed in ("1", "271828"):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
-        proc = subprocess.run(
-            [sys.executable, "-m", "galcalc.cli", "stmod", "S4", "-p", "2",
-             "--format", "json"],
-            capture_output=True, env=env, check=True,
-        )
-        outputs.append(proc.stdout)
-    assert outputs[0] == outputs[1]
+    for command in (
+        ["stmod", "S4", "-p", "2"],
+        ["stmod", "D24", "-p", "2"],
+        ["orbit-nerve", "S4", "-p", "2"],
+    ):
+        outputs = []
+        for seed in ("1", "271828"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            proc = subprocess.run(
+                [sys.executable, "-m", "galcalc.cli", *command, "--format", "json"],
+                capture_output=True, env=env, check=True,
+            )
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1], command

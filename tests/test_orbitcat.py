@@ -10,7 +10,6 @@ from galcalc.gset import GSet
 from galcalc.orbitcat import (
     FinCategory,
     Morphism,
-    SubgroupFamily,
     category_from_poset,
     close_family,
     nerve_pi1_presentation,
@@ -33,59 +32,49 @@ def test_fincategory_validation():
 def test_close_family_examples():
     S3 = catalogue_group("S3")
     a3 = S3.subgroup_from_generators([next(g for g in S3.elements if g.order() == 3)])
-    fam = close_family(S3, [a3])
-    assert len(fam) == 1
-    assert fam.closed_under_conjugation and fam.closed_under_intersection
+    assert close_family(S3, [a3]) == (a3,)  # normal, so already closed
 
     t = S3.subgroup_from_generators([next(g for g in S3.elements if g.order() == 2)])
-    fam2 = close_family(S3, [t])
-    assert sorted(h.order for h in fam2.members) == [1, 2, 2, 2]
-    assert fam2.contains_trivial
-    fam3 = close_family(S3, [t], drop_trivial=True)
-    assert sorted(h.order for h in fam3.members) == [2, 2, 2]
-    assert not fam3.contains_trivial
+    fam = close_family(S3, [t, t])
+    assert [h.order for h in fam] == [1, 2, 2, 2]
+    assert fam[0] == S3.trivial_subgroup() and t in fam
+    assert fam == tuple(sorted(fam, key=lambda h: (h.order, h.member_key())))
 
-    fam_empty = close_family(S3, [])
-    assert len(fam_empty) == 0
-
-
-def test_family_flags_are_verified():
-    S3 = catalogue_group("S3")
-    t = S3.subgroup_from_generators([next(g for g in S3.elements if g.order() == 2)])
-    fam = SubgroupFamily(S3, [t])  # a single non-normal C2: not closed
-    assert not fam.closed_under_conjugation
+    assert close_family(S3, []) == ()
 
 
 def test_orbit_category_single_object_cases():
     # A = {G}: one object, one morphism
     S3 = catalogue_group("S3")
-    fam = SubgroupFamily(S3, [S3.full_subgroup()])
-    C = orbit_category(S3, fam)
+    C = orbit_category(S3, [S3.full_subgroup()])
     assert len(C.objects) == 1 and len(C.morphisms) == 1
 
     # G = C4, A = {C2}: End = C4/C2, two morphisms forming C2
     C4 = catalogue_group("C4")
     H = C4.subgroup_from_generators([g for g in C4.elements if g.order() == 2])
-    C = orbit_category(C4, SubgroupFamily(C4, [H]))
+    C = orbit_category(C4, [H])
     C.validate()
     assert len(C.morphisms) == 2
 
     # G = S3, A = {A3}: End = S3/A3 of order 2
     a3 = S3.subgroup_from_generators([next(g for g in S3.elements if g.order() == 3)])
-    C = orbit_category(S3, SubgroupFamily(S3, [a3]))
+    C = orbit_category(S3, [a3])
     assert len(C.morphisms) == 2
 
 
 def test_reduced_orbit_category_v4():
     V4 = catalogue_group("C2xC2")
-    fam = close_family(V4, V4.elementary_abelian_p_subgroups(2), drop_trivial=True)
+    fam = V4.elementary_abelian_p_subgroups(2)
     C = orbit_category(V4, fam)
     C.validate()
     assert len(C.objects) == 4  # three lines and the plane
+    assert C.object_info == tuple(fam)  # objects in the given order
+    C = orbit_category(V4, fam[::-1])
+    assert C.object_info == tuple(fam[::-1])
     with pytest.raises(EmptyFamily):
-        orbit_category(
-            V4, close_family(V4, [V4.trivial_subgroup()], drop_trivial=True)
-        )
+        orbit_category(V4, [])
+    with pytest.raises(ValueError, match="different group"):
+        orbit_category(V4, catalogue_group("C4").elementary_abelian_p_subgroups(2))
 
 
 def _fixed_points_of_H_on_cosets(G, H, K):
@@ -101,8 +90,7 @@ def _fixed_points_of_H_on_cosets(G, H, K):
 @pytest.mark.parametrize("spec,p", [("S4", 2), ("S3", 2), ("A4", 2), ("D12", 2)])
 def test_orbit_hom_sizes_match_fixed_point_oracle(spec, p):
     G = catalogue_group(spec)
-    fam = close_family(G, G.elementary_abelian_p_subgroups(p), drop_trivial=True)
-    C = orbit_category(G, fam)
+    C = orbit_category(G, G.elementary_abelian_p_subgroups(p))
     subs = C.object_info
     for i, H in enumerate(subs):
         for j, K in enumerate(subs):
@@ -167,8 +155,7 @@ def test_nerve_pi1_basepoint_independence():
     # pi1 at every basepoint of a connected category identifies the same
     # group; the S5 orbit category at p = 5 has 6 objects and pi1 = C4
     S5 = catalogue_group("S5")
-    fam = close_family(S5, S5.elementary_abelian_p_subgroups(5), drop_trivial=True)
-    C = orbit_category(S5, fam)
+    C = orbit_category(S5, S5.elementary_abelian_p_subgroups(5))
     assert len(C.objects) == 6
     C4 = catalogue_group("C4")
     for bp in C.objects:
@@ -177,8 +164,7 @@ def test_nerve_pi1_basepoint_independence():
         assert r.status == "Identified" and r.match_name == "C4", bp
     # and on a small all-trivial example every basepoint certifies order 1
     V4 = catalogue_group("C2xC2")
-    fam = close_family(V4, V4.elementary_abelian_p_subgroups(2), drop_trivial=True)
-    C = orbit_category(V4, fam)
+    C = orbit_category(V4, V4.elementary_abelian_p_subgroups(2))
     for bp in C.objects:
         assert coset_enumeration(simplify(nerve_pi1_presentation(C, bp))) == 1
 
@@ -186,7 +172,7 @@ def test_nerve_pi1_basepoint_independence():
 def test_fincategory_json_schema():
     C4 = catalogue_group("C4")
     H = C4.subgroup_from_generators([g for g in C4.elements if g.order() == 2])
-    C = orbit_category(C4, SubgroupFamily(C4, [H]))
+    C = orbit_category(C4, [H])
     data = C.to_json()
     assert data["schema"] == 1
     assert data["objects"] == [0]

@@ -209,11 +209,14 @@ def test_elementary_abelian_subgroups():
 
 
 def test_elementary_abelian_include_trivial():
+    # the search leaves the trivial subgroup out; a caller that wants it
+    # prepends it, and the list stays in (order, member_key) order
     G = catalogue_group("C4")
-    with_triv = G.elementary_abelian_p_subgroups(2, include_trivial=True)
     without = G.elementary_abelian_p_subgroups(2)
+    with_triv = [G.trivial_subgroup()] + without
+    assert all(H.order > 1 for H in without)
     assert len(with_triv) == len(without) + 1
-    assert with_triv[0].order == 1
+    assert with_triv == sorted(with_triv, key=lambda H: (H.order, H.member_key()))
 
 
 def test_p_residual():

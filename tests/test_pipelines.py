@@ -25,8 +25,9 @@ from galcalc.pipelines import (
     galois_modg,
     galois_stmod,
     has_central_order_p,
-    maximal_elementary_abelian_classes,
+    maximal_representatives,
     modg_report,
+    orbit_nerve,
     stmod_candidates,
     sylow_triple_condition,
     van_kampen_pushout,
@@ -211,15 +212,21 @@ def test_central_and_sylow_conditions():
     assert sylow_triple_condition(catalogue_group("Q8"), 2)  # unique Sylow
 
 
+def _maximal_classes(G, p):
+    """Representatives of the maximal classes, read off the skeleton."""
+    return maximal_representatives(orbit_nerve(G, G.elementary_abelian_p_subgroups(p))[0])
+
+
 def test_maximal_elementary_abelian_classes():
     S5 = catalogue_group("S5")
-    classes = maximal_elementary_abelian_classes(S5, S5.elementary_abelian_p_subgroups(5))
-    assert len(classes) == 1
-    assert classes[0][0].order == 5
-    assert len(classes[0]) == 6  # six Sylow 5-subgroups
+    reps = _maximal_classes(S5, 5)
+    assert [H.order for H in reps] == [5]
+    assert len(reps[0].conjugacy_class()) == 6  # six Sylow 5-subgroups
     S4 = catalogue_group("S4")
-    classes2 = maximal_elementary_abelian_classes(S4, S4.elementary_abelian_p_subgroups(2))
-    assert all(H.order == 4 for cls in classes2 for H in cls)
+    reps2 = _maximal_classes(S4, 2)
+    # the class of three non-normal Klein four-groups, then the normal one
+    assert [len(H.conjugacy_class()) for H in reps2] == [3, 1]
+    assert all(H.order == 4 for H in reps2)
 
 
 # -- stable module category path -------------------------------------------------
@@ -257,10 +264,10 @@ def test_stmod_elementary_abelian_trivial(spec):
 
 def test_stmod_candidate_pool_contents():
     G = catalogue_group("S3")
-    classes = maximal_elementary_abelian_classes(G, G.elementary_abelian_p_subgroups(3))
+    maximal = _maximal_classes(G, 3)
     # the catalogue part holds the groups of the certified order only
     for order, catalogue in [(1, []), (2, ["C2"]), (6, ["C6", "S3"]), (7, [])]:
-        pool = stmod_candidates(G, galois_modg(G, 3), classes, order)
+        pool = stmod_candidates(G, galois_modg(G, 3), maximal, order)
         names = [c.name for c in pool]
         assert names == ["C1"] + catalogue + ["S3/N", "weyl-class-0"], order
 
@@ -352,8 +359,8 @@ def test_stmod_full_catalogue_48():
 @pytest.mark.parametrize("spec,p,wname", [("S3", 3, "C2"), ("S5", 5, "C4"), ("D10", 5, "C2")])
 def test_stmod_rank_one_weyl_case(spec, p, wname):
     G = catalogue_group(spec)
-    classes = maximal_elementary_abelian_classes(G, G.elementary_abelian_p_subgroups(p))
-    assert len(classes) == 1 and classes[0][0].order == p
+    maximal = _maximal_classes(G, p)
+    assert len(maximal) == 1 and maximal[0].order == p
     r = galois_stmod(G, p)
     assert r.identification.match_name == wname
     weyl = [c for c in r.cross_checks if c.path == "StmodWeylRankOne"]

@@ -15,7 +15,7 @@ from galcalc.fp import coset_enumeration, identify_finite, simplify
 from galcalc.pipelines import (
     galois_modg,
     galois_stmod,
-    maximal_elementary_abelian_classes,
+    maximal_representatives,
     orbit_nerve,
     stmod_candidates,
 )
@@ -33,11 +33,11 @@ def test_case_list():
     assert len(CASES) == 137
 
 
-def full_pool(G, modg, classes):
+def full_pool(G, modg, maximal):
     """Oracle: the trivial group, every catalogue group up to |G|, then
     modg and the Weyl groups (the tail of a pool of an order above |G|)."""
     catalogue = [catalogue_group(s) for s in standard_catalogue(G.order)]
-    tail = stmod_candidates(G, modg, classes, G.order + 1)[1:]
+    tail = stmod_candidates(G, modg, maximal, G.order + 1)[1:]
     return catalogue + tail
 
 
@@ -51,13 +51,14 @@ def test_certified_order_pool_matches_full_pool(spec, p):
     G = catalogue_group(spec)
     subs = G.elementary_abelian_p_subgroups(p)
     modg = galois_modg(G, p)
-    classes = maximal_elementary_abelian_classes(G, subs)
-    Fs = simplify(orbit_nerve(G, subs)[2])
+    cat, _, F = orbit_nerve(G, subs)
+    maximal = maximal_representatives(cat)
+    Fs = simplify(F)
     order = coset_enumeration(Fs)
-    pool = stmod_candidates(G, modg, classes, order)
-    assert {c.order for c in pool[1 : -len(classes) - 1]} <= {order}
+    pool = stmod_candidates(G, modg, maximal, order)
+    assert {c.order for c in pool[1 : -len(maximal) - 1]} <= {order}
     ident = identify_finite(Fs, pool, presimplify=False, certified_order=order)
-    oracle = identify_finite(Fs, full_pool(G, modg, classes), presimplify=False)
+    oracle = identify_finite(Fs, full_pool(G, modg, maximal), presimplify=False)
     assert _key(ident) == _key(oracle), (spec, p)
     assert ident.status == "Identified", (spec, p)
 
@@ -106,17 +107,3 @@ def test_coset_bound_is_inconclusive_and_builds_no_pool(monkeypatch):
     weyl = [c for c in report.cross_checks if c.path == "StmodWeylRankOne"]
     assert weyl and not weyl[0].agreed and weyl[0].detail == "Weyl group has order 2"
 
-
-def test_explicit_candidates_skip_the_pool():
-    S3 = catalogue_group("S3")
-    for cands, status, name in [
-        (["C2"], "Identified", "C2"),
-        (["C3"], "Inconclusive", None),
-        (["C1"], "OrderExceeded", None),
-    ]:
-        report = galois_stmod(S3, 3, candidates=[catalogue_group(c) for c in cands])
-        ident = report.identification
-        got = (ident.status, ident.match_name, ident.certified_order)
-        assert got == (status, name, 2)
-        weyl = [c for c in report.cross_checks if c.path == "StmodWeylRankOne"]
-        assert weyl[0].agreed == (name == "C2")

@@ -1,19 +1,26 @@
 """The skeletal orbit category against the full orbit category.
 
 ``pipelines.orbit_nerve`` builds the orbit category on one subgroup per
-conjugacy class of the closed family.  It is equivalent to the orbit
-category on the whole family, so the two nerves are homotopy equivalent.
-The oracle here is ``orbit_category`` over the full closed family: both
-nerves must give the same pi0, the same abelianized pi1, the same
-certified order and the same identified candidate.  ``close_family``
-conjugates by the generators of G only; the oracle for it is the closure
-that conjugated by every element.
+conjugacy class of the nontrivial elementary abelian p-subgroups, with
+no closure pass: that family is closed under conjugation and nontrivial
+intersection as it stands, which ``close_family`` confirms here on every
+catalogue case up to order 48.  The skeleton is equivalent to the orbit
+category on the whole family, so the two nerves are homotopy
+equivalent.  The oracle here is ``orbit_category`` over the full closed
+family: both nerves must give the same pi0, the same abelianized pi1,
+the same certified order and the same identified candidate, and the
+skeleton's maximal objects must be the maximal classes.
+``close_family`` conjugates by the generators of G only; the oracle for
+it is the closure that conjugated by every element.
 """
+
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from galcalc import cli, orbitcat
 from galcalc.catalogue import catalogue_group, standard_catalogue
 from galcalc.fp import abelianization, coset_enumeration, identify_finite, simplify
 from galcalc.orbitcat import (
@@ -24,7 +31,8 @@ from galcalc.orbitcat import (
 )
 from galcalc.pipelines import (
     galois_modg,
-    maximal_elementary_abelian_classes,
+    galois_stmod,
+    maximal_representatives,
     orbit_nerve,
     stmod_candidates,
 )
@@ -46,16 +54,53 @@ def _class_keys(G, H):
     return {H.conjugate(g).member_key() for g in G.elements}
 
 
+def _nontrivial_closure(G, subs):
+    return [H for H in close_family(G, subs) if H.order > 1]
+
+
 def test_case_list_covers_order_24():
     # 64 cases at p in {2, 3, 5} and 11 more at the primes 7 to 23
     assert len(CASES) == 75
+
+
+def test_elementary_abelian_family_is_closed():
+    # the 173 catalogue cases up to order 48, at every dividing prime
+    ran = 0
+    for spec in standard_catalogue(48):
+        G = catalogue_group(spec)
+        for p in _prime_divisors(G.order):
+            subs = G.elementary_abelian_p_subgroups(p)
+            assert _nontrivial_closure(G, subs) == subs, (spec, p)
+            ran += 1
+    assert ran == 173
+
+
+def test_stmod_and_orbit_nerve_run_no_closure(monkeypatch, capsys):
+    calls = []
+    original = orbitcat.close_family
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    # rebind every name bound to close_family, as galbench's tracer does
+    for name, module in list(sys.modules.items()):
+        if name.startswith("galcalc"):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, recording)
+    assert galois_stmod(catalogue_group("S4"), 2).identification.status == "Identified"
+    assert galois_stmod(catalogue_group("D24"), 2).identification.status == "Identified"
+    assert cli.main(["orbit-nerve", "S4", "-p", "2", "--format", "json"]) == 0
+    assert capsys.readouterr().out
+    assert calls == []
 
 
 @pytest.mark.parametrize("spec,p", CASES)
 def test_skeletal_nerve_matches_full_nerve(spec, p):
     G = catalogue_group(spec)
     subs = G.elementary_abelian_p_subgroups(p)
-    family = close_family(G, subs, drop_trivial=True)
+    family = _nontrivial_closure(G, subs)
     full = orbit_category(G, family)
     F_full = nerve_pi1_presentation(full, min(full.objects))
     skeleton, components, F = orbit_nerve(G, subs)
@@ -67,9 +112,17 @@ def test_skeletal_nerve_matches_full_nerve(spec, p):
     for a in range(len(reps)):
         for b in range(a + 1, len(reps)):
             assert reps[b].member_key() not in classes[a], (spec, p, a, b)
-    for H in family.members:
+    for H in family:
         assert sum(H.member_key() in c for c in classes) == 1, (spec, p)
-    assert reps[0] == family.members[0]
+    assert reps[0] == family[0]
+
+    # the maximal objects: the least maximal member of each class
+    least = []
+    for H in family:
+        maximal = not any(H.order < K.order and H <= K for K in family)
+        if maximal and not any(H.member_key() in _class_keys(G, K) for K in least):
+            least.append(H)
+    assert maximal_representatives(skeleton) == least, (spec, p)
 
     # the nerves: same pi0 and pi1
     # (Tietze moves keep the group; Smith normal form of the raw full
@@ -79,9 +132,7 @@ def test_skeletal_nerve_matches_full_nerve(spec, p):
     assert abelianization(Fs) == abelianization(F_full_s)
     order = coset_enumeration(Fs)
     assert order == coset_enumeration(F_full_s)
-    pool = stmod_candidates(
-        G, galois_modg(G, p), maximal_elementary_abelian_classes(G, subs), order
-    )
+    pool = stmod_candidates(G, galois_modg(G, p), least, order)
     ident = identify_finite(Fs, pool, presimplify=False)
     ident_full = identify_finite(F_full_s, pool, presimplify=False)
     assert ident.status == ident_full.status == "Identified", (spec, p)
@@ -93,14 +144,15 @@ def test_class_representatives_of_s4_at_2():
     # four classes: 6 transposition lines, 3 double-transposition lines,
     # the normal Klein four-group and 3 non-normal ones
     S4 = catalogue_group("S4")
-    family = close_family(S4, S4.elementary_abelian_p_subgroups(2), drop_trivial=True)
+    family = S4.elementary_abelian_p_subgroups(2)
     reps = conjugacy_class_representatives(family)
     assert len(family) == 13
     assert [H.order for H in reps] == [2, 2, 4, 4]
-    assert reps[0] == family.members[0]
+    assert reps[0] == family[0]
+    assert maximal_representatives(orbit_category(S4, reps)) == reps[2:]
 
 
-def close_family_all_elements(G, seed, drop_trivial=False):
+def close_family_all_elements(G, seed):
     """Oracle: the closure that conjugates by every element of G."""
     current = {}
     queue = list(seed)
@@ -118,11 +170,7 @@ def close_family_all_elements(G, seed, drop_trivial=False):
             I = H.intersection(other)
             if I.member_key() not in current:
                 queue.append(I)
-    return sorted(
-        (H.order, key)
-        for key, H in current.items()
-        if not (drop_trivial and H.order == 1)
-    )
+    return sorted((H.order, key) for key, H in current.items())
 
 
 GROUPS = {spec: catalogue_group(spec) for spec in ("S4", "S5")}
@@ -136,16 +184,15 @@ GROUPS = {spec: catalogue_group(spec) for spec in ("S4", "S5")}
         min_size=1,
         max_size=3,
     ),
-    drop_trivial=st.booleans(),
 )
-def test_generator_closure_matches_all_elements_closure(spec, seeds, drop_trivial):
+def test_generator_closure_matches_all_elements_closure(spec, seeds):
     G = GROUPS[spec]
     elements = G.elements
     seed = [
         G.subgroup_from_generators([elements[i % len(elements)] for i in idx])
         for idx in seeds
     ]
-    family = close_family(G, seed, drop_trivial=drop_trivial)
-    assert [(H.order, H.member_key()) for H in family.members] == (
-        close_family_all_elements(G, seed, drop_trivial)
+    family = close_family(G, seed)
+    assert [(H.order, H.member_key()) for H in family] == (
+        close_family_all_elements(G, seed)
     )
