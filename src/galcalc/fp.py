@@ -487,7 +487,8 @@ def simplify(F: FpGroup) -> FpGroup:
     presents an isomorphic group.
     """
     resolver = _GenResolver(F.ngens)
-    relators = {canonical_relator(r) for r in F.relators} - {()}
+    # a nerve presentation repeats raw words: canonicalize each distinct one once
+    relators = {canonical_relator(r) for r in dict.fromkeys(F.relators)} - {()}
     while True:
         progress = False
         for w in sorted(relators, key=lambda w: (len(w), w)):

@@ -13,12 +13,13 @@ Dimino's algorithm, at about one product per element of the result.  A
 normal closure is that closure of its seed, grown by the conjugates of
 its own generators by the group's generators.  ``Subgroup.cosets`` is
 the one left-coset routine; a quotient G/N is the action on the cosets
-of N, certified by |G/N| * |N| = |G|.  Every element list is sorted
-lexicographically by image tuple, so all derived output (subgroups,
-quotients, homomorphism lists) is stable across runs.  A subgroup is a
-bitset over its parent's sorted element list, so containment,
-intersection, equality and hashing are integer operations, and
-conjugation maps bits through a per-element table of the parent.
+of N, whose kernel is the core of N, so the one check |G/N| * |N| = |G|
+proves both that N is normal and that the kernel is N.  Every element
+list is sorted lexicographically by image tuple, so all derived output
+(subgroups, quotients, homomorphism lists) is stable across runs.  A
+subgroup is a bitset over its parent's sorted element list, so
+containment, intersection, equality and hashing are integer operations,
+and conjugation maps bits through a per-element table of the parent.
 ``search_generator_images`` is the one search for generator images:
 isomorphisms, surjections and fp witnesses.  Values are immutable after
 construction and safe to share across threads; lazy caches are filled at
@@ -337,14 +338,15 @@ class PermGroup:
     def quotient(self, N: "Subgroup") -> "PermGroup":
         """G/N as the action of G's generators on the cosets of N.
 
-        Raises NotNormal unless N is normal.  The kernel of the action is
-        contained in N, so |G/N| * |N| = |G| certifies that it is N; a
-        CertificateError is raised otherwise.
+        G acts on the left cosets of any subgroup N, and the kernel of that
+        action is the core of N, the intersection of N's conjugates, which
+        lies in N.  So |G/N| * |N| = |G| holds exactly when the core is N,
+        that is when N is normal: the one check proves both normality and
+        that the kernel is N.  When it fails, NotNormal is raised for a
+        non-normal N and CertificateError for a normal one.
         """
         if N.parent is not self and not N.parent.same_group(self):
             raise ValueError("subgroup does not belong to this group")
-        if not N.is_normal():
-            raise NotNormal("quotient by a non-normal subgroup")
         reps, index = N.cosets()
         # x permutes the cosets: x * rN = (x * r)N
         gen_images = [
@@ -353,6 +355,8 @@ class PermGroup:
         qname = f"{self.name}/N" if self.name else None
         Q = PermGroup(len(reps), gen_images, name=qname, max_order=self.max_order)
         if Q.order * N.order != self.order:
+            if not N.is_normal():
+                raise NotNormal("quotient by a non-normal subgroup")
             raise CertificateError("coset action kernel is not the subgroup")
         return Q
 
@@ -392,17 +396,6 @@ class PermGroup:
                             raise SizeError("elementary abelian search blow-up")
             layer = nxt
         return sorted(found.values(), key=lambda s: (s.order, s.member_key()))
-
-    def p_residual(self, p: int) -> "Subgroup":
-        """Smallest normal subgroup with p-power index.
-
-        Normal closure of all elements of order coprime to p; the quotient
-        is the maximal p-group quotient.
-        """
-        coprime = [
-            g for g in self.elements if not g.is_identity() and g.order() % p != 0
-        ]
-        return self.normal_closure(coprime)
 
     def sylow_subgroup(self, p: int) -> "Subgroup":
         """One Sylow p-subgroup, by greedy extension of a p-subgroup."""

@@ -6,7 +6,9 @@ separably closed field k of characteristic p:
 * ``galois_modg``     - the fundamental group of the category of k-linear
   G-representations: G modulo the normal closure of its order-p elements.
 * ``galois_cochains`` - the fundamental group of modules over cochains on
-  BG: additionally kill the p-residual, leaving a p-group quotient.
+  BG: G modulo one normal closure, of its elements of order p or prime
+  to p, which kills the p-residual and the order-p elements together,
+  leaving a p-group quotient.
 * ``galois_stmod``    - the fundamental group of the stable module
   category: the fundamental group of the nerve of the reduced orbit
   category on elementary abelian p-subgroups, its order certified first,
@@ -84,14 +86,15 @@ def galois_modg(G: PermGroup, p: int) -> PermGroup:
 def galois_cochains(G: PermGroup, p: int) -> PermGroup:
     """The maximal p-group quotient of G with order-p elements killed.
 
-    Kills the normal closure of the p-residual together with the order-p
-    elements; the result is always a p-group and a quotient of the
+    G modulo one normal closure: that of the elements of order prime to p
+    (whose normal closure is the p-residual) together with the elements of
+    order p.  The result is always a p-group and a quotient of the
     representation-category answer.
     """
     _require_prime(p)
-    residual = G.p_residual(p)
-    seed = list(residual.members) + list(G.order_p_elements(p))
-    N = G.normal_closure(seed)
+    N = G.normal_closure(
+        g for g, o in zip(G.elements, G.element_orders) if o == p or o % p
+    )
     return G.quotient(N)
 
 

@@ -11,6 +11,7 @@ homomorphism.
 
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 import galcalc
 from galcalc.catalogue import catalogue_group, standard_catalogue
+from galcalc.errors import NotNormal
 from galcalc.perm import GroupHom, Perm, PermGroup
 from galcalc.pipelines import galois_cochains, galois_modg
 
@@ -92,7 +94,9 @@ def test_cosets_match_old_loop_on_random_subgroups(H):
 def test_pipeline_quotients_match_old_quotient(p):
     for spec in standard_catalogue(48):
         G = catalogue_group(spec)
-        residual = G.p_residual(p)
+        # the old cochains kernel: the p-residual, the normal closure of the
+        # elements of order prime to p, joined with the order-p elements
+        residual = G.normal_closure(g for g in G.elements if g.order() % p)
         for Q, N in (
             (galois_modg(G, p), G.normal_closure(G.order_p_elements(p))),
             (
@@ -103,6 +107,63 @@ def test_pipeline_quotients_match_old_quotient(p):
             old = old_quotient(G, N)
             assert Q.generators == old.generators, (spec, p)
             assert Q.elements == old.elements, (spec, p)
+
+
+def _check_quotient_against_oracles(N):
+    """quotient raises NotNormal exactly when is_normal() is false, and
+    otherwise equals old_quotient; returns is_normal()."""
+    G = N.parent
+    if not N.is_normal():
+        with pytest.raises(NotNormal):
+            G.quotient(N)
+        return False
+    Q, old = G.quotient(N), old_quotient(G, N)
+    assert Q.generators == old.generators
+    assert Q.elements == old.elements
+    return True
+
+
+def test_quotient_matches_is_normal_and_old_quotient_on_catalogue_24():
+    normal = Counter(
+        _check_quotient_against_oracles(N)
+        for _, subs in _catalogue_subgroups(24)
+        for N in subs
+    )
+    # Sylow subgroups are often not normal, so both paths are exercised
+    assert normal[True] > 300 and normal[False] > 50
+
+
+@settings(max_examples=60, deadline=None)
+@given(subgroups_of_s4_s5())
+def test_quotient_matches_is_normal_and_old_quotient_on_random_subgroups(N):
+    _check_quotient_against_oracles(N)
+
+
+def test_quotient_rejects_non_normal_subgroup_under_optimize():
+    # the normality check on the failure path is an if, so python -O keeps it
+    code = (
+        "from galcalc.catalogue import catalogue_group\n"
+        "from galcalc.errors import NotNormal\n"
+        "G = catalogue_group('S3')\n"
+        "t = next(g for g in G.elements if g.order() == 2)\n"
+        "assert False, 'asserts are stripped'\n"
+        "try:\n"
+        "    G.quotient(G.subgroup_from_generators([t]))\n"
+        "except NotNormal:\n"
+        "    print('rejected')\n"
+        "else:\n"
+        "    print('accepted')\n"
+    )
+    src = str(Path(galcalc.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": src},
+        timeout=60,
+        check=True,
+    )
+    assert out.stdout.strip() == "rejected"
 
 
 def test_quotient_rejects_wrong_coset_count_under_optimize():
