@@ -3,15 +3,17 @@
 Elements are permutations of {0, ..., degree-1}, each a ``Perm``: a
 tuple subclass that is its own image tuple, so hashing, equality and the
 lexicographic order are tuple's, in C, and a product is one
-``operator.itemgetter`` call.  A whole group is enumerated once by
-breadth-first closure over its generators, which also records the words
-that ``extend_generator_map``, the one routine that builds and verifies
-homomorphisms and G-set actions, extends generator images along.
-Generated subgroups (elementary abelian and Sylow subgroups, generating
-sets, the generation tests of the isomorphism search) are closed by
-Dimino's algorithm, at about one product per element of the result.  A
-normal closure is that closure of its seed, grown by the conjugates of
-its own generators by the group's generators.  ``Subgroup.cosets`` is
+``operator.itemgetter`` call: a whole right coset H * s is one ``map`` in
+C (``_right_coset``).  A whole group is enumerated once by breadth-first
+closure over its generators, each level's products by a generator in one
+such map; the closure records the words that ``extend_generator_map``,
+the one routine that builds and verifies homomorphisms and G-set
+actions, extends generator images along.  Generated subgroups
+(elementary abelian and Sylow subgroups, generating sets, the generation
+tests of the isomorphism search) are closed by Dimino's algorithm, a
+coset per map.  Element orders walk each cyclic subgroup once.  A normal
+closure is that closure of its seed, grown by the conjugates of its own
+generators by the group's generators.  ``Subgroup.cosets`` is
 the one left-coset routine; a quotient G/N is the action on the cosets
 of N, whose kernel is the core of N, so the one check |G/N| * |N| = |G|
 proves both that N is normal and that the kernel is N.  Every element
@@ -28,6 +30,8 @@ most once.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import itertools
 import re
 from collections import Counter
@@ -152,8 +156,21 @@ class Perm(tuple):
 
 
 # The product, bound at import: the conjugations in conjugation_table and
-# normal_closure stay unseen by a rebinding of Perm.__mul__ (galbench's count).
+# normal_closure stay unseen by a rebinding of Perm.__mul__ (galbench's count),
+# and so do the bulk products below, which never call Perm.__mul__.
 _compose = Perm.__mul__
+_as_perm = functools.partial(tuple.__new__, Perm)
+
+
+def _right_mul(s: Perm) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """x -> the image tuple of x * s, in C.  Below degree 2, where
+    itemgetter would return a scalar, s is the identity and x * s is x."""
+    return itemgetter(*s) if len(s) > 1 else tuple
+
+
+def _right_coset(H: Iterable[Perm], s: Perm) -> Iterator[Perm]:
+    """h * s for each h in H: one map in C, for the whole coset H * s."""
+    return map(_as_perm, map(_right_mul(s), H))
 
 
 class PermGroup:
@@ -204,19 +221,21 @@ class PermGroup:
         seen = {ident}
         defs: list[tuple[Perm, Optional[Perm], Optional[int]]] = [(ident, None, None)]
         queue = [ident]
+        steps = [_right_mul(gen) for gen in self.generators]
+        gis = range(len(steps))
         while queue:
             nxt = []
-            for cur in queue:
-                for gi, gen in enumerate(self.generators):
-                    new = cur * gen
+            # a level's products: one map per generator; new ones become Perms
+            for cur, row in zip(queue, zip(*[map(f, queue) for f in steps])):
+                for gi in gis:
+                    new = row[gi]
                     if new not in seen:
+                        new = _as_perm(new)
                         seen.add(new)
                         defs.append((new, cur, gi))
                         nxt.append(new)
-                        if len(seen) > self.max_order:
-                            raise SizeError(
-                                f"group order exceeds bound {self.max_order}"
-                            )
+            if len(seen) > self.max_order:
+                raise SizeError(f"group order exceeds bound {self.max_order}")
             queue = nxt
         self._defs = defs
         self._elements = tuple(sorted(seen))
@@ -266,9 +285,20 @@ class PermGroup:
 
     @property
     def element_orders(self) -> tuple[int, ...]:
-        """The order of the element at each position of the sorted list."""
+        """The order of the element at each position of the sorted list: each
+        cyclic <g> is walked once, and g^k has order n / gcd(n, k), n = |<g>|."""
         if self._orders is None:
-            self._orders = tuple(g.order() for g in self.elements)
+            index, ident, orders = self.element_index, self.identity, [0] * self.order
+            for i, g in enumerate(self.elements):
+                if not orders[i]:
+                    powers, step, x = [g], _right_mul(g), g
+                    while x != ident:
+                        x = step(x)
+                        powers.append(x)
+                    n = len(powers)
+                    for k, x in enumerate(powers, 1):
+                        orders[index[x]] = n // gcd(n, k)
+            self._orders = tuple(orders)
         return self._orders
 
     def order_profile(self) -> dict[int, int]:
@@ -353,12 +383,15 @@ class PermGroup:
             Perm._raw([index[x * r] for r in reps]) for x in self.generators
         ]
         qname = f"{self.name}/N" if self.name else None
-        Q = PermGroup(len(reps), gen_images, name=qname, max_order=self.max_order)
-        if Q.order * N.order != self.order:
-            if not N.is_normal():
-                raise NotNormal("quotient by a non-normal subgroup")
-            raise CertificateError("coset action kernel is not the subgroup")
-        return Q
+        # a correct answer has [G:N] elements: enumerate no further than that
+        Q = PermGroup(len(reps), gen_images, name=qname, max_order=len(reps))
+        with contextlib.suppress(SizeError):
+            if Q.order * N.order == self.order:
+                Q.max_order = self.max_order
+                return Q
+        if not N.is_normal():
+            raise NotNormal("quotient by a non-normal subgroup")
+        raise CertificateError("coset action kernel is not the subgroup")
 
     def elementary_abelian_p_subgroups(self, p: int) -> list["Subgroup"]:
         """All subgroups isomorphic to (Z/p)^r, r >= 1, sorted by
@@ -511,13 +544,13 @@ class _Closure:
             return False
         H = tuple(members)
         self.gens.append(s)
-        members.update(h * s for h in H)
+        members.update(_right_coset(H, s))
         reps = [s]
         for r in reps:  # reps grows while it is scanned
             for g in self.gens:
                 x = r * g
                 if x not in members:
-                    members.update(h * x for h in H)
+                    members.update(_right_coset(H, x))
                     reps.append(x)
         return True
 
@@ -624,10 +657,12 @@ class Subgroup:
         and index maps every parent element to its coset number."""
         index: dict[Perm, int] = {}
         reps: list[Perm] = []
+        times = [_right_mul(h) for h in self.members]  # g * h is _right_mul(h)(g)
         for g in self.parent.elements:
             if g not in index:
-                for h in self.members:
-                    index[g * h] = len(reps)
+                c = len(reps)
+                for f in times:
+                    index[f(g)] = c
                 reps.append(g)
         return reps, index
 
@@ -741,7 +776,7 @@ def homomorphisms(G: PermGroup, H: PermGroup) -> list[GroupHom]:
     total = 1
     for g in G.generators:
         o = g.order()
-        cands = [h for h in H.elements if o % h.order() == 0]
+        cands = [h for h, b in zip(H.elements, H.element_orders) if o % b == 0]
         cand_lists.append(cands)
         total *= len(cands)
     if total > HOM_SEARCH_BOUND:

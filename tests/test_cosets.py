@@ -120,6 +120,7 @@ def _check_quotient_against_oracles(N):
     Q, old = G.quotient(N), old_quotient(G, N)
     assert Q.generators == old.generators
     assert Q.elements == old.elements
+    assert Q.max_order == G.max_order  # not the [G:N] bound it was built under
     return True
 
 
@@ -194,3 +195,46 @@ def test_quotient_rejects_wrong_coset_count_under_optimize():
         check=True,
     )
     assert out.stdout.strip() == "rejected"
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_non_normal_quotient_stops_at_the_index(flags):
+    # S7 by a transposition: the coset action is S7 on 2520 points, with
+    # 5040 elements.  Its enumeration runs under the bound [G:N] = 2520, so
+    # it stops with SizeError there and the normality test rejects N.
+    code = (
+        "import galcalc.perm as perm\n"
+        "from galcalc.catalogue import catalogue_group\n"
+        "from galcalc.errors import NotNormal, SizeError\n"
+        "enumerate_, runs = perm.PermGroup._enumerate, []\n"
+        "def spy(Q):\n"
+        "    fresh = Q._elements is None\n"
+        "    try:\n"
+        "        enumerate_(Q)\n"
+        "    except SizeError:\n"
+        "        runs.append((Q.degree, Q.max_order, 'SizeError'))\n"
+        "        raise\n"
+        "    if fresh:\n"
+        "        runs.append((Q.degree, Q.max_order, len(Q._elements)))\n"
+        "G = catalogue_group('S7')\n"
+        "t = next(g for g in G.elements if g.order() == 2)\n"
+        "N = G.subgroup_from_generators([t])\n"
+        "G.order\n"
+        "perm.PermGroup._enumerate = spy\n"
+        "try:\n"
+        "    G.quotient(N)\n"
+        "except NotNormal:\n"
+        "    print('rejected', runs)\n"
+        "else:\n"
+        "    print('accepted', runs)\n"
+    )
+    src = str(Path(galcalc.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, *flags, "-c", code],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": src},
+        timeout=120,
+        check=True,
+    )
+    assert out.stdout.strip() == "rejected [(2520, 2520, 'SizeError')]"

@@ -7,13 +7,19 @@ computation, on degrees 0 to 12 with degrees 0 and 1 always tried: the
 itemgetter product needs its list fallback there.  Hashes and the sort
 order must be the image tuple's, since set and dict iteration orders,
 and so every byte of output, rest on them.
+
+The bulk kernel (whole right cosets in one map: enumeration, Dimino
+closure, left cosets, element orders) is compared with per-element
+plain-tuple loops on every catalogue group up to order 24, on random
+groups in S_n for n <= 7 and on degrees 0 and 1.
 """
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from galcalc.perm import Perm
+from galcalc.catalogue import catalogue_group, standard_catalogue
+from galcalc.perm import Perm, PermGroup, _right_coset
 
 
 def o_mul(a, b):
@@ -136,3 +142,107 @@ def test_hash_and_order_are_the_image_tuples(tuples):
 def test_non_bijection_raises(images):
     with pytest.raises(ValueError):
         Perm(images)
+
+
+# -- the bulk kernel -------------------------------------------------------
+
+
+def o_closure(seed, degree):
+    """Breadth-first closure of plain tuples under right multiplication."""
+    ident = tuple(range(degree))
+    seen, frontier = {ident}, [ident]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for g in seed:
+                c = o_mul(a, g)
+                if c not in seen:
+                    seen.add(c)
+                    nxt.append(c)
+        frontier = nxt
+    return sorted(seen)
+
+
+def o_cosets(H):
+    """The per-member left-coset loop: g * h for each member h of H."""
+    index, reps = {}, []
+    for g in H.parent.elements:
+        if g not in index:
+            for h in H.members:
+                index[o_mul(g, h)] = len(reps)
+            reps.append(g)
+    return reps, index
+
+
+def all_subgroups(G):
+    """Every subgroup of G: the joins of cyclic subgroups, grown one at a time."""
+    cyclic = {G.subgroup_from_generators([g]) for g in G.elements}
+    found, todo = set(cyclic), list(cyclic)
+    while todo:
+        H = todo.pop()
+        for C in cyclic:
+            if not C <= H:
+                J = G.subgroup_from_generators(H.generating_set() + C.generating_set())
+                if J not in found:
+                    found.add(J)
+                    todo.append(J)
+    return sorted(found, key=lambda H: (H.order, H.members))
+
+
+def check_bulk_kernel(G, subgroups):
+    gens = [tuple(g) for g in G.generators]
+    els = G.elements
+    assert all(type(g) is Perm for g in els)
+    assert [tuple(g) for g in els] == o_closure(gens, G.degree)
+    defs = G.definition_order()
+    assert defs[0] == (G.identity, None, None)
+    assert sorted(perm for perm, _, _ in defs) == list(els)
+    position = {perm: i for i, (perm, _, _) in enumerate(defs)}
+    for i, (perm, parent, gi) in enumerate(defs[1:], 1):
+        assert type(perm) is Perm and position[parent] < i
+        assert perm == o_mul(parent, gens[gi])
+    assert G.element_orders == tuple(o_order(g) for g in els)
+    for H in subgroups:
+        assert H.cosets() == o_cosets(H)
+        assert list(H.members) == o_closure([tuple(g) for g in H.generating_set()], G.degree)
+
+
+CATALOGUE_24 = standard_catalogue(24)
+
+
+@pytest.mark.parametrize("spec", CATALOGUE_24)
+def test_bulk_kernel_matches_tuple_oracle_on_catalogue_24(spec):
+    G = catalogue_group(spec)
+    check_bulk_kernel(G, all_subgroups(G))
+
+
+@st.composite
+def random_groups(draw):
+    n = draw(st.integers(min_value=0, max_value=7))
+    G = PermGroup(n, draw(st.lists(st.permutations(range(n)).map(Perm), max_size=3)))
+    picks = st.lists(st.integers(min_value=0), max_size=3)
+    subs = [[G.elements[i % G.order] for i in draw(picks)] for _ in range(2)]
+    return G, [G.subgroup_from_generators(gens) for gens in subs]
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_groups())
+@example((PermGroup(0, []), []))
+@example((PermGroup(0, [Perm(())]), []))
+@example((PermGroup(1, [Perm((0,))]), []))
+def test_bulk_kernel_matches_tuple_oracle_on_random_groups(case):
+    G, subgroups = case
+    check_bulk_kernel(G, [G.trivial_subgroup(), G.full_subgroup()] + subgroups)
+
+
+@settings(max_examples=200, deadline=None)
+@given(perm_lists())
+@example([])
+@example([(), ()])
+@example([(0,), (0,)])
+def test_right_coset_matches_tuple_oracle(tuples):
+    perms = [Perm(t) for t in tuples]
+    for s in perms[:3]:
+        coset = list(_right_coset(perms, s))
+        assert all(type(x) is Perm for x in coset)
+        assert coset == [o_mul(t, s) for t in tuples]
