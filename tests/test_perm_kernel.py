@@ -207,10 +207,7 @@ def check_bulk_kernel(G, subgroups):
         assert list(H.members) == o_closure([tuple(g) for g in H.generating_set()], G.degree)
 
 
-CATALOGUE_24 = standard_catalogue(24)
-
-
-@pytest.mark.parametrize("spec", CATALOGUE_24)
+@pytest.mark.parametrize("spec", standard_catalogue(24))
 def test_bulk_kernel_matches_tuple_oracle_on_catalogue_24(spec):
     G = catalogue_group(spec)
     check_bulk_kernel(G, all_subgroups(G))
