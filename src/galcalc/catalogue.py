@@ -17,6 +17,8 @@ downstream output is deterministic.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import re
 from typing import Optional
@@ -249,9 +251,53 @@ def catalogue_group(spec: str, max_order: int = DEFAULT_MAX_ORDER) -> PermGroup:
     return _catalogue_cache[key]
 
 
+@functools.cache
+def spec_invariants(spec: str) -> tuple[bool, int]:
+    """(abelian, number of involutions) of a catalogue spec, in closed form
+    from the spec alone: no group is built, and each spec is worked out
+    once per process.
+
+    A product of cyclics C_n1 x ... x C_nk has 2^e - 1 involutions, e the
+    number of even n_i; D_2n has n reflections, plus the half turn for
+    even n; S_n has n! / (j! 2^j (n-2j)!) involutions with j disjoint
+    transpositions, A_n those with j even; Q8 and Q16 have one.
+    """
+    if _PRODUCT_RE.match(spec):
+        ns = [int(c[1:]) for c in spec.split("x")]
+        return True, 2 ** sum(n % 2 == 0 for n in ns) - 1
+    m = _FAMILY_RE.match(spec)
+    if not m:
+        raise ParseError(f"no closed form for {spec!r}")
+    fam, n = m.group(1), int(m.group(2))
+    if fam == "C":
+        return True, 1 - n % 2
+    if fam == "D":
+        return n <= 4, n // 2 + 1 - n // 2 % 2
+    if fam == "Q":
+        return False, 1
+    counts = [
+        math.factorial(n) // (math.factorial(j) * 2**j * math.factorial(n - 2 * j))
+        for j in range(1, n // 2 + 1)
+    ]
+    if fam == "S":
+        return n <= 2, sum(counts)
+    return n <= 3, sum(counts[1::2])
+
+
 def name_group(G: PermGroup) -> Optional[str]:
-    """Identify G against the catalogue of its order; None if unnamed."""
+    """Identify G against the catalogue of its order; None if unnamed.
+
+    A spec whose ``spec_invariants`` differ from G's is rejected before its
+    group is built.  G's side reads only its generators, which commute
+    pairwise iff G is abelian, and its cached element orders.
+    ``find_isomorphism`` decides every other spec.
+    """
+    pairs = itertools.combinations(G.generators, 2)
+    abelian = all(a * b == b * a for a, b in pairs)
+    invariants = (abelian, G.order_profile().get(2, 0))
     for spec in standard_catalogue(G.order, exact=True):
+        if spec_invariants(spec) != invariants:
+            continue
         if find_isomorphism(G, catalogue_group(spec)) is not None:
             return spec
     return None

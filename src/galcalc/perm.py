@@ -13,19 +13,22 @@ actions, extends generator images along.  Generated subgroups
 tests of the isomorphism search) are closed by Dimino's algorithm, a
 coset per map.  Element orders walk each cyclic subgroup once.  A normal
 closure is that closure of its seed, grown by the conjugates of its own
-generators by the group's generators.  ``Subgroup.cosets`` is
-the one left-coset routine; a quotient G/N is the action on the cosets
-of N, whose kernel is the core of N, so the one check |G/N| * |N| = |G|
-proves both that N is normal and that the kernel is N.  Every element
-list is sorted lexicographically by image tuple, so all derived output
-(subgroups, quotients, homomorphism lists) is stable across runs.  A
-subgroup is a bitset over its parent's sorted element list, so
-containment, intersection, equality and hashing are integer operations,
-and conjugation maps bits through a per-element table of the parent.
-``search_generator_images`` is the one search for generator images:
-isomorphisms, surjections and fp witnesses.  Values are immutable after
-construction and safe to share across threads; lazy caches are filled at
-most once.
+generators by the group's generators; a closure that holds every
+generator hands the group its element list, so no second closure lists
+it.  Normalizers and centralizers test one element per right coset of
+the part found so far.  A quotient G/N is first the action on the
+N-orbits, then, when that fails, the action on the left cosets of N
+(``Subgroup.cosets``, the one left-coset routine): either way the one
+check |G/N| * |N| = |G| proves both that N is normal and that the kernel
+is N.  Every element list is sorted lexicographically by image tuple, so
+all derived output (subgroups, quotients, homomorphism lists) is stable
+across runs.  A subgroup is a bitset over its parent's sorted element
+list, so containment, intersection, equality and hashing are integer
+operations, and conjugation maps bits through a per-element table of the
+parent.  ``search_generator_images`` is the one search for generator
+images: isomorphisms, surjections and fp witnesses.  Values are immutable
+after construction and safe to share across threads; lazy caches are
+filled at most once.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import itertools
+import math
 import re
 from collections import Counter
 from math import gcd
@@ -177,7 +181,8 @@ class PermGroup:
     """Finite permutation group generated by a list of Perms.
 
     The element list is computed lazily by breadth-first closure over the
-    generators and kept in sorted order.  Closure raises SizeError past
+    generators, or taken from a normal closure that holds every generator,
+    and kept in sorted order.  Closure raises SizeError past
     ``max_order``.  An empty generator list denotes the trivial group.
     """
 
@@ -215,8 +220,8 @@ class PermGroup:
         return Perm.identity(self.degree)
 
     def _enumerate(self) -> None:
-        if self._elements is not None:
-            return
+        # the definitions always; the sorted element list unless a normal
+        # closure that holds every generator has handed it over already
         ident = self.identity
         seen = {ident}
         defs: list[tuple[Perm, Optional[Perm], Optional[int]]] = [(ident, None, None)]
@@ -238,11 +243,13 @@ class PermGroup:
                 raise SizeError(f"group order exceeds bound {self.max_order}")
             queue = nxt
         self._defs = defs
-        self._elements = tuple(sorted(seen))
+        if self._elements is None:
+            self._elements = tuple(sorted(seen))
 
     @property
     def elements(self) -> tuple[Perm, ...]:
-        self._enumerate()
+        if self._elements is None:
+            self._enumerate()
         assert self._elements is not None
         return self._elements
 
@@ -274,7 +281,8 @@ class PermGroup:
 
     def definition_order(self) -> list[tuple[Perm, Optional[Perm], Optional[int]]]:
         """Elements as (perm, parent, gen index) with perm = parent * gen."""
-        self._enumerate()
+        if self._defs is None:
+            self._enumerate()
         assert self._defs is not None
         return self._defs
 
@@ -329,7 +337,11 @@ class PermGroup:
         For p prime these are the g != identity with g^p = identity."""
         return tuple(g for g, o in zip(self.elements, self.element_orders) if o == p)
 
-    def normal_closure(self, seed: Iterable[Perm]) -> "Subgroup":
+    def normal_closure(
+        self,
+        seed: Iterable[Perm],
+        more: Optional[Callable[[int], Iterable[Perm]]] = None,
+    ) -> "Subgroup":
         """Smallest normal subgroup containing the given elements.
 
         The seed is closed by Dimino's algorithm, then the conjugate
@@ -337,61 +349,131 @@ class PermGroup:
         included) by each generator x of this group is added.  So the result
         N has x N x^-1 <= N, and x^-1 is a power of x: N is normal, and the
         least such, as all it adds are conjugates (Holt, Eick and O'Brien,
-        Handbook of Computational Group Theory)."""
-        N = _Closure(self.identity, seed)
+        Handbook of Computational Group Theory).  ``more``, when given, is
+        called once with the order of that closure, and the elements it
+        returns join the same closure, which is normal-closed again.  A
+        closure that holds every generator is this group: if its element
+        list is not known yet, it is taken from the closure.  The closure
+        raises SizeError past ``max_order``."""
+        N = _Closure(self.identity, seed, limit=self.max_order)
         conj = [(x, x.inverse()) for x in self.generators]
-        for n in N.gens:  # gens grows while it is scanned
-            for x, xinv in conj:
-                N.add(_compose(_compose(x, n), xinv))
-        return Subgroup(self, N.members, _closed=True)
+
+        def close(start: int) -> bool:
+            """Normal-close from N.gens[start] on; True when N is this group."""
+            for n in itertools.islice(N.gens, start, None):  # gens grows
+                for x, xinv in conj:
+                    N.add(_compose(_compose(x, n), xinv))
+            whole = all(x in N.members for x in self.generators)
+            if whole and self._elements is None:
+                self._elements = tuple(sorted(N.members))
+            return whole
+
+        whole = close(0)
+        if more is not None:
+            start = len(N.gens)
+            for s in more(len(N.members)):
+                N.add(s)
+            whole = close(start)
+        return self.full_subgroup() if whole else Subgroup(self, N.members, _closed=True)
+
+    def _subgroup_where(
+        self, holds: Callable[[Perm], bool], seed: Iterable[Perm] = ()
+    ) -> "Subgroup":
+        """The elements g with ``holds(g)``, which must form a subgroup P
+        containing ``seed``.  With S the part of P found so far, s * g is in
+        P iff g is, for s in S: so one element of each right coset S * g is
+        tested, a passing one grows S by Dimino's algorithm and a failing
+        one rules out its whole coset."""
+        S = _Closure(self.identity, seed)
+        ruled_out: set[Perm] = set()
+        for g in self.elements:
+            if g in S.members or g in ruled_out:
+                continue
+            if holds(g):
+                S.add(g)
+            else:
+                ruled_out.update(_right_coset(S.members, g))
+        return Subgroup(self, S.members, _closed=True)
 
     def centralizer(self, elems: Iterable[Perm]) -> "Subgroup":
         targets = list(elems)
-        members = [
-            g for g in self.elements if all(g * s == s * g for s in targets)
-        ]
-        return Subgroup(self, members, _closed=True)
+        return self._subgroup_where(lambda g: all(g * s == s * g for s in targets))
 
     def center(self) -> "Subgroup":
         return self.centralizer(self.generators if self.generators else [])
 
     def normalizer(self, H: "Subgroup") -> "Subgroup":
-        # g H g^-1 <= H iff g maps a generating set of H into H
+        # g H g^-1 <= H iff g maps a generating set of H into H; H <= N(H)
         gens = H.generating_set()
-        members = []
-        for g in self.elements:
+
+        def holds(g: Perm) -> bool:
             ginv = g.inverse()
-            if all(g * h * ginv in H for h in gens):
-                members.append(g)
-        return Subgroup(self, members, _closed=True)
+            return all(g * h * ginv in H for h in gens)
+
+        return self._subgroup_where(holds, gens)
 
     def quotient(self, N: "Subgroup") -> "PermGroup":
-        """G/N as the action of G's generators on the cosets of N.
+        """G/N as the action of G's generators on the N-orbits, else on the
+        left cosets of N.
 
-        G acts on the left cosets of any subgroup N, and the kernel of that
-        action is the core of N, the intersection of N's conjugates, which
-        lies in N.  So |G/N| * |N| = |G| holds exactly when the core is N,
-        that is when N is normal: the one check proves both normality and
-        that the kernel is N.  When it fails, NotNormal is raised for a
-        non-normal N and CertificateError for a normal one.
+        The image of an action of G has order [G:K] for its kernel K.  When
+        every generator maps N-orbits onto N-orbits, G acts on them and N
+        lies in the kernel, so |image| * |N| = |G| holds exactly when the
+        kernel is N: that one check proves N normal and the image G/N.  For
+        N = 1 the image is G in its own degree.  On k orbits the image has at
+        most k! elements, so the attempt is skipped when k! < [G:N].
+        Otherwise G acts on the left cosets of N, with kernel the core of N,
+        the intersection of N's conjugates, which lies in N.  So |G/N| * |N|
+        = |G| holds exactly when the core is N, that is when N is normal:
+        again one check proves both.  When it fails, NotNormal is raised for
+        a non-normal N and CertificateError for a normal one (Holt, Eick and
+        O'Brien, Handbook of Computational Group Theory, 4.3-4.4).
         """
         if N.parent is not self and not N.parent.same_group(self):
             raise ValueError("subgroup does not belong to this group")
-        reps, index = N.cosets()
-        # x permutes the cosets: x * rN = (x * r)N
-        gen_images = [
-            Perm._raw([index[x * r] for r in reps]) for x in self.generators
-        ]
+        index = self.order // N.order
         qname = f"{self.name}/N" if self.name else None
-        # a correct answer has [G:N] elements: enumerate no further than that
-        Q = PermGroup(len(reps), gen_images, name=qname, max_order=len(reps))
-        with contextlib.suppress(SizeError):
-            if Q.order * N.order == self.order:
-                Q.max_order = self.max_order
-                return Q
+        for degree, gen_images in self._quotient_actions(N, index):
+            # a correct answer has [G:N] elements: enumerate no further than that
+            Q = PermGroup(degree, gen_images, name=qname, max_order=index)
+            with contextlib.suppress(SizeError):
+                if Q.order * N.order == self.order:
+                    Q.max_order = self.max_order
+                    return Q
         if not N.is_normal():
             raise NotNormal("quotient by a non-normal subgroup")
-        raise CertificateError("coset action kernel is not the subgroup")
+        raise CertificateError("quotient action kernel is not the subgroup")
+
+    def _quotient_actions(
+        self, N: "Subgroup", index: int
+    ) -> Iterator[tuple[int, list[Perm]]]:
+        """Actions of G whose kernel may be N, as (degree, generator images).
+
+        First the action on the k orbits of N, numbered by least point,
+        unless k! < index or a generator does not map orbits onto orbits;
+        then the action on the left cosets of N: x * rN = (x * r)N."""
+        orbit_of, least = [-1] * self.degree, []
+        for x in range(self.degree):
+            if orbit_of[x] < 0:
+                for y in set(map(itemgetter(x), N.members)):
+                    orbit_of[y] = len(least)
+                least.append(x)
+        k = len(least)
+        if k >= index or math.factorial(k) >= index:
+            spread = _right_mul(orbit_of)  # spread(image)[y] = image[orbit of y]
+            gen_images = []
+            for g in self.generators:
+                moved = _right_mul(g)(orbit_of)  # moved[y] = orbit of g(y)
+                image = [moved[x] for x in least]
+                if moved != spread(image):  # g splits an orbit
+                    break
+                gen_images.append(Perm._raw(image))
+            else:
+                yield k, gen_images
+        reps, coset = N.cosets()
+        yield len(reps), [
+            Perm._raw([coset[x * r] for r in reps]) for x in self.generators
+        ]
 
     def elementary_abelian_p_subgroups(self, p: int) -> list["Subgroup"]:
         """All subgroups isomorphic to (Z/p)^r, r >= 1, sorted by
@@ -526,14 +608,17 @@ class _Closure:
     lies outside the group so far.  That costs about |<H, s>| products
     plus one per (new coset, generator) pair, against |<H, s>|^2 for a
     naive closure (Butler, Fundamental Algorithms for Permutation Groups,
-    LNCS 559).
+    LNCS 559).  Growing past ``limit`` members raises SizeError.
     """
 
-    __slots__ = ("gens", "members")
+    __slots__ = ("gens", "members", "limit")
 
-    def __init__(self, identity: Perm, seed: Iterable[Perm] = ()):
+    def __init__(
+        self, identity: Perm, seed: Iterable[Perm] = (), limit: float = math.inf
+    ):
         self.gens: list[Perm] = []
         self.members: set[Perm] = {identity}
+        self.limit = limit
         for s in seed:
             self.add(s)
 
@@ -546,7 +631,9 @@ class _Closure:
         self.gens.append(s)
         members.update(_right_coset(H, s))
         reps = [s]
-        for r in reps:  # reps grows while it is scanned
+        for r in reps:  # reps grows while it is scanned, a rep per coset added
+            if len(members) > self.limit:
+                raise SizeError(f"group order exceeds bound {self.limit}")
             for g in self.gens:
                 x = r * g
                 if x not in members:
@@ -557,7 +644,7 @@ class _Closure:
     def extended(self, s: Perm) -> "_Closure":
         """A copy extended by s; this closure is left as it is."""
         out = _Closure.__new__(_Closure)
-        out.gens = list(self.gens)
+        out.gens, out.limit = list(self.gens), self.limit
         out.members = set(self.members)
         out.add(s)
         return out

@@ -23,6 +23,12 @@ separably closed field k of characteristic p:
   over its conjugacy classes gives the skeleton, and the skeleton's
   maximal objects are its maximal classes.
 
+The ``modg`` and ``cochains`` normal closures are seeded with powers of
+G's generators: those of order p, and for ``cochains`` also those of
+order prime to p.  When p does not divide the index of the seed's normal
+closure, that closure is the answer; only otherwise does the same closure
+go on over G's element orders (``_seeded_kernel``).
+
 ``van_kampen_pushout`` wraps the pushout of presentations with its
 abelianization and either an infiniteness certificate (free rank or
 amalgam) or a bounded identification of the finite answer.
@@ -35,7 +41,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .catalogue import catalogue_group, standard_catalogue
 from .errors import CosetLimitExceeded, POrderError
@@ -58,7 +64,7 @@ from .orbitcat import (
     nerve_pi1_presentation,
     orbit_category,
 )
-from .perm import PermGroup, Subgroup, find_isomorphism
+from .perm import Perm, PermGroup, Subgroup, find_isomorphism
 
 # a pushout of certified order up to this bound is named from the catalogue
 PUSHOUT_CANDIDATE_BOUND = 48
@@ -79,8 +85,7 @@ PATH_WEYL = "StmodWeylRankOne"
 def galois_modg(G: PermGroup, p: int) -> PermGroup:
     """G modulo the normal closure of its order-p elements."""
     _require_prime(p)
-    N = G.normal_closure(G.order_p_elements(p))
-    return G.quotient(N)
+    return G.quotient(_seeded_kernel(G, p, cochains=False))
 
 
 def galois_cochains(G: PermGroup, p: int) -> PermGroup:
@@ -92,10 +97,38 @@ def galois_cochains(G: PermGroup, p: int) -> PermGroup:
     representation-category answer.
     """
     _require_prime(p)
-    N = G.normal_closure(
-        g for g, o in zip(G.elements, G.element_orders) if o == p or o % p
-    )
-    return G.quotient(N)
+    return G.quotient(_seeded_kernel(G, p, cochains=True))
+
+
+def _seeded_kernel(G: PermGroup, p: int, cochains: bool) -> Subgroup:
+    """The normal closure N of G's elements of order p and, for
+    ``cochains``, of order prime to p.
+
+    It is seeded with the generators' powers of those orders, and their
+    normal closure N0 is N when p does not divide [G:N0].  For ``modg``,
+    an order-p element maps to an element of order dividing p in the
+    p'-group G/N0, that is to 1.  For ``cochains``, G/N0 is generated by
+    the images of the generators, of p-power order, so it is trivial and
+    N0 = G.  Only otherwise does the same closure go on over every element
+    of those orders.
+    """
+    seed = []
+    for g in G.generators:
+        n = m = g.order()
+        while m % p == 0:
+            m //= p  # m becomes the part of n prime to p
+        if m < n:
+            seed.append(g ** (n // p))
+        if cochains:
+            seed.append(g ** (n // m))
+
+    def more(order: int) -> Iterable[Perm]:
+        if (G.order // order) % p:
+            return ()
+        orders = zip(G.elements, G.element_orders)
+        return (g for g, o in orders if o == p or (cochains and o % p))
+
+    return G.normal_closure(seed, more)
 
 
 def weyl_group(G: PermGroup, H: Subgroup) -> PermGroup:
