@@ -4,10 +4,13 @@ Each test prints a single PASS line with its wall time; runtime limits
 are the stated expectations and are asserted directly.
 """
 
+import hashlib
 import itertools
 import time
 
+import galcalc.catalogue as catalogue
 from galcalc.catalogue import catalogue_group, name_group, standard_catalogue
+from galcalc.cli import main
 from galcalc.fp import FpGroup, FpMap, abelianization, coset_enumeration, identify_finite, simplify
 from galcalc.groupoid import delooping, hom_groupoids_agree
 from galcalc.gset import classify_torsors, reconstruct_pi1
@@ -195,9 +198,38 @@ def test_criterion_11_van_kampen_pushouts():
 
 
 def test_criterion_12_modg_names_s6():
-    # p = 7 does not divide 720: the answer is S6 in degree 720.  The
-    # greedy generating set of S6 is five involutions, 75^5 image tuples
-    # without the pair-order checks of find_isomorphism
+    # p = 7 does not divide 720: the kernel is trivial, and the quotient
+    # acts on its orbits, the 6 points, so the answer is S6 in degree 6.
+    # The greedy generating set of S6 is five involutions, 75^5 image
+    # tuples without the pair-order checks of find_isomorphism
     with _Timer("12 (modg S6 at 7 names S6)", 10.0):
         assert name_group(galois_modg(catalogue_group("S6"), 7)) == "S6"
         assert name_group(catalogue_group("S6")) == "S6"
+
+
+# sha256 of the default output of each command, text then JSON, taken from
+# the code before the quotient acted on N-orbits, when modg S7 -p 11 took
+# 21 s: the kernel is trivial, and naming S7 in its regular representation
+# built and rejected every other catalogue group of order 5040
+S7_AT_11 = {
+    "modg S7 -p 11": (
+        "c3113f761756a149694668e4a8e42b0a9ef5b138823d22193fe8517f24beba06",
+        "5af926861f2fdaf9aff5e0da5ecd63a7a246e347d334454811906db33eb85958",
+    ),
+    "cochains S7 -p 11": (
+        "9be98cc0a38a96f1057ae2da9a307bd9b70e04ede97794d9385d22c0509781cf",
+        "52b76a49db2538811a88b55976c67430067363d5fbf83ae5c7f1ee33b607939f",
+    ),
+}
+
+
+def test_criterion_13_modg_and_cochains_s7_at_11(capsys, monkeypatch):
+    for command, digests in S7_AT_11.items():
+        for fmt, expected in zip(("text", "json"), digests):
+            # a fresh catalogue: no group of order 5040 is cached
+            monkeypatch.setattr(catalogue, "_catalogue_cache", {})
+            capsys.readouterr()  # drop the previous PASS line
+            with _Timer(f"13 ({command} --format {fmt})", 2.0):
+                assert main(command.split() + ["--format", fmt]) == 0
+                out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode()).hexdigest() == expected, (command, fmt)

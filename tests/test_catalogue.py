@@ -10,10 +10,12 @@ from galcalc.catalogue import (
     display_name,
     group_from_catalogue,
     name_group,
+    spec_invariants,
     standard_catalogue,
 )
 from galcalc.errors import ParseError, SizeError
 from galcalc.perm import find_isomorphism
+from galcalc.pipelines import galois_cochains, galois_modg
 
 
 @pytest.mark.parametrize(
@@ -148,3 +150,45 @@ def test_name_group_builds_only_its_order(monkeypatch):
         assert built and all(H.order == G.order for H in built.values())
         specs = set(standard_catalogue(G.order, exact=True))
         assert {spec for spec, _ in built} <= specs
+
+
+def old_name_group(G):
+    """Oracle: the catalogue of G's order, every spec built and tested."""
+    for spec in standard_catalogue(G.order, exact=True):
+        if find_isomorphism(G, catalogue_group(spec)) is not None:
+            return spec
+    return None
+
+
+def test_spec_invariants_match_the_built_groups_up_to_order_200():
+    specs = standard_catalogue(200)
+    assert len(specs) == 482
+    for spec in specs:
+        G = catalogue_group(spec)
+        abelian = all(a * b == b * a for a in G.generators for b in G.generators)
+        involutions = sum(1 for g in G.elements if g.order() == 2)
+        assert spec_invariants(spec) == (abelian, involutions), spec
+
+
+def test_name_group_agrees_with_the_unfiltered_search_up_to_order_48():
+    for spec in standard_catalogue(48):
+        G = catalogue_group(spec)
+        assert name_group(G) == old_name_group(G) == spec
+        # the same groups in other degrees: quotients on orbits or cosets
+        for p in (2, 3):
+            for Q in (galois_modg(G, p), galois_cochains(G, p)):
+                assert name_group(Q) == old_name_group(Q), (spec, p)
+
+
+# SL(2,3) on the 8 nonzero vectors of F_3^2, and C3 x| C4 with C4 inverting C3
+OUTSIDE_THE_CATALOGUE = [
+    "perm:8:(1 4 7)(2 8 5);(1 6 2 3)(4 7 8 5)",
+    "perm:7:(1 2 3);(2 3)(4 5 6 7)",
+]
+
+
+@pytest.mark.parametrize("spec", OUTSIDE_THE_CATALOGUE)
+def test_name_group_is_none_outside_the_catalogue(spec):
+    G = group_from_catalogue(spec)
+    assert G.order in (12, 24)
+    assert name_group(G) is None and old_name_group(G) is None

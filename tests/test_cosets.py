@@ -288,3 +288,82 @@ def test_non_normal_quotient_stops_at_the_index(flags):
         check=True,
     )
     assert out.stdout.strip() == "rejected [(2520, 2520, 'SizeError')]"
+
+
+@pytest.mark.parametrize("pipeline", [galois_modg, galois_cochains])
+def test_seeded_kernels_match_full_scan(monkeypatch, pipeline):
+    """The kernel the pipeline passes to quotient, from a closure seeded
+    with generator powers, has the bits of the one-pass kernel over every
+    element of order p (and, for cochains, of order prime to p).  Each
+    group is fresh, so a closure that holds every generator hands it its
+    element list; a group whose element orders stay unread had its full
+    scan skipped by a certificate."""
+    kernels = []
+    quotient = PermGroup.quotient
+
+    def spy(G, N):
+        kernels.append(N)
+        return quotient(G, N)
+
+    monkeypatch.setattr(PermGroup, "quotient", spy)
+    cochains = pipeline is galois_cochains
+    skipped = checked = 0
+    for spec in standard_catalogue(48):
+        for p in (2, 3, 5, 7, 11):
+            G = group_from_catalogue(spec)
+            pipeline(G, p)
+            skipped += G._orders is None
+            N = kernels.pop()
+            assert N.parent is G
+            scan = G.normal_closure(
+                g
+                for g, o in zip(G.elements, G.element_orders)
+                if o == p or (cochains and o % p)
+            )
+            assert N.bits == scan.bits, (spec, p)
+            checked += 1
+    assert checked == 5 * len(standard_catalogue(48))
+    assert skipped > checked * 4 // 5, (skipped, checked)
+
+
+def test_quotient_rejects_transitive_non_normal_subgroup_under_optimize():
+    # a Sylow 2-subgroup of S4 is transitive, so its one orbit is mapped
+    # onto itself by every generator, yet it is not normal: 1! < [G:N]
+    # skips the orbit action, and the coset check rejects it
+    code = (
+        "from galcalc.catalogue import catalogue_group\n"
+        "from galcalc.errors import NotNormal\n"
+        "G = catalogue_group('S4')\n"
+        "P = G.sylow_subgroup(2)\n"
+        "assert False, 'asserts are stripped'\n"
+        "shape = len({h[0] for h in P.members}) == 4 and not P.is_normal()\n"
+        "try:\n"
+        "    G.quotient(P)\n"
+        "except NotNormal:\n"
+        "    print('rejected', shape)\n"
+        "else:\n"
+        "    print('accepted', shape)\n"
+    )
+    src = str(Path(galcalc.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": src},
+        timeout=60,
+        check=True,
+    )
+    assert out.stdout.strip() == "rejected True"
+
+
+def test_element_list_handed_over_from_a_closure_respects_max_order():
+    S5 = catalogue_group("S5")
+    t = next(g for g in S5.elements if g.order() == 2)
+    # a transposition's normal closure is S5 itself: 120 elements
+    with pytest.raises(SizeError):
+        PermGroup(5, S5.generators, max_order=119).normal_closure([t])
+    G = PermGroup(5, S5.generators, max_order=120)
+    assert G.normal_closure([t]) == G.full_subgroup()
+    assert G._defs is None  # the element list came from the closure, not a BFS
+    assert G.elements == S5.elements
+    assert [d[0] for d in G.definition_order()] == [d[0] for d in S5.definition_order()]

@@ -3,8 +3,10 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from galcalc.catalogue import catalogue_group, name_group
+from galcalc.catalogue import catalogue_group, name_group, standard_catalogue
 from galcalc.errors import NotNormal, SizeError
 from galcalc.gset import GSet
 from galcalc.perm import (
@@ -187,6 +189,48 @@ def test_normalizer_examples():
     assert syl.order == 8
     assert S4.normalizer(syl).order == 8  # self-normalizing
     assert S4.normalizer(S4.full_subgroup()).order == 24
+
+
+def normalizer_scan(G, H):
+    """Oracle: every element of G that conjugates H into itself."""
+    return {g for g in G.elements if all(g * h * g.inverse() in H for h in H.members)}
+
+
+def centralizer_scan(G, targets):
+    """Oracle: every element of G that commutes with each target."""
+    return {g for g in G.elements if all(g * s == s * g for s in targets)}
+
+
+def _check_normalizer_and_centralizer(H):
+    G = H.parent
+    NH, CH = G.normalizer(H), G.centralizer(H.members)
+    assert set(NH.members) == normalizer_scan(G, H)
+    assert set(CH.members) == centralizer_scan(G, H.members)
+    assert NH == G.subgroup(NH.members) and CH <= NH
+
+
+def test_normalizer_and_centralizer_match_full_scans_on_catalogue_48():
+    checked = 0
+    for spec in standard_catalogue(48):
+        G = catalogue_group(spec)
+        subs = {G.trivial_subgroup(), G.full_subgroup(), G.center()}
+        for p in (2, 3, 5, 7):
+            if G.order % p == 0:
+                subs.update(G.sylow_subgroups(p))
+                subs.update(G.elementary_abelian_p_subgroups(p))
+        for H in subs:
+            _check_normalizer_and_centralizer(H)
+            checked += 1
+    assert checked > 1000
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["S4", "S5"]), st.lists(st.integers(0, 119), max_size=3))
+def test_normalizer_and_centralizer_match_full_scans_on_random_subgroups(spec, picks):
+    G = catalogue_group(spec)
+    _check_normalizer_and_centralizer(
+        G.subgroup_from_generators(G.elements[i % G.order] for i in picks)
+    )
 
 
 def test_elementary_abelian_subgroups():
