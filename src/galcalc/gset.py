@@ -3,11 +3,12 @@
 A GSet stores a left action of a PermGroup on a finite carrier.  The
 action maps of all group elements are built from generator images by
 ``perm.extend_generator_map``, the one routine that extends generator
-images and proves them multiplicative.  Torsors carry an auxiliary
-commuting action.  Torsors are classified in one pass by a canonical
-form, the least transport of the base action along the automorphisms of
-the auxiliary action; the pairwise search over carrier bijections
-compatible with both actions is kept as the oracle.
+images along the group's Cayley edges and proves them multiplicative.
+Torsors carry an auxiliary commuting action.  Torsors are classified in
+one pass by a canonical form, the least transport of the base action
+along the automorphisms of the auxiliary action; the pairwise search
+over carrier bijections compatible with both actions is kept as the
+oracle.
 """
 
 from __future__ import annotations
@@ -28,8 +29,9 @@ class GSet:
 
     The carrier permutations of the generators are extended to action
     maps of all group elements by ``perm.extend_generator_map``, which
-    also proves the action law g(h(x)) = (gh)(x); a generator assignment
-    that is not an action raises ValueError at construction time.
+    checks every Cayley edge of the group and so proves the action law
+    g(h(x)) = (gh)(x); a generator assignment that is not an action
+    raises ValueError at construction time.
     """
 
     def __init__(

@@ -6,9 +6,10 @@ lexicographic order are tuple's, in C, and a product is one
 ``operator.itemgetter`` call: a whole right coset H * s is one ``map`` in
 C (``_right_coset``).  A whole group is enumerated once by breadth-first
 closure over its generators, each level's products by a generator in one
-such map; the closure records the words that ``extend_generator_map``,
-the one routine that builds and verifies homomorphisms and G-set
-actions, extends generator images along.  Generated subgroups
+such map; the closure records the Cayley table, each edge p * gen gi = q
+in BFS order, and ``extend_generator_map``, the one routine that builds
+and verifies homomorphisms and G-set actions, walks those edges once, at
+one codomain product each.  Generated subgroups
 (elementary abelian and Sylow subgroups, generating sets, the generation
 tests of the isomorphism search) are closed by Dimino's algorithm, a
 coset per map.  Element orders walk each cyclic subgroup once.  A normal
@@ -204,7 +205,7 @@ class PermGroup:
         self.name = name
         self.max_order = max_order
         self._elements: Optional[tuple[Perm, ...]] = None
-        self._defs: Optional[list[tuple[Perm, Optional[Perm], Optional[int]]]] = None
+        self._cayley: Optional[tuple[tuple[Perm, ...], list[int]]] = None
         self._orders: Optional[tuple[int, ...]] = None
         self._index: Optional[dict[Perm, int]] = None
         self._conj_tables: dict[Perm, tuple[int, ...]] = {}
@@ -220,31 +221,29 @@ class PermGroup:
         return Perm.identity(self.degree)
 
     def _enumerate(self) -> None:
-        # the definitions always; the sorted element list unless a normal
-        # closure that holds every generator has handed it over already
-        ident = self.identity
-        seen = {ident}
-        defs: list[tuple[Perm, Optional[Perm], Optional[int]]] = [(ident, None, None)]
-        queue = [ident]
+        # the Cayley table always; the sorted element list unless a normal
+        # closure that holds every generator has handed it over already.  A
+        # BFS level is a slice of the definition order, from ``start`` on.
+        defined = [self.identity]
+        position = {defined[0]: 0}
+        targets: list[int] = []
         steps = [_right_mul(gen) for gen in self.generators]
-        gis = range(len(steps))
-        while queue:
-            nxt = []
+        start = 0
+        while start < len(defined):
+            level = defined[start:]
             # a level's products: one map per generator; new ones become Perms
-            for cur, row in zip(queue, zip(*[map(f, queue) for f in steps])):
-                for gi in gis:
-                    new = row[gi]
-                    if new not in seen:
-                        new = _as_perm(new)
-                        seen.add(new)
-                        defs.append((new, cur, gi))
-                        nxt.append(new)
-            if len(seen) > self.max_order:
+            for row in zip(*[map(f, level) for f in steps]):
+                for x in row:
+                    q = position.setdefault(x, len(defined))
+                    if q == len(defined):
+                        defined.append(_as_perm(x))
+                    targets.append(q)
+            if len(defined) > self.max_order:
                 raise SizeError(f"group order exceeds bound {self.max_order}")
-            queue = nxt
-        self._defs = defs
+            start += len(level)
+        self._cayley = (tuple(defined), targets)
         if self._elements is None:
-            self._elements = tuple(sorted(seen))
+            self._elements = tuple(sorted(defined))
 
     @property
     def elements(self) -> tuple[Perm, ...]:
@@ -279,12 +278,15 @@ class PermGroup:
     def __iter__(self) -> Iterator[Perm]:
         return iter(self.elements)
 
-    def definition_order(self) -> list[tuple[Perm, Optional[Perm], Optional[int]]]:
-        """Elements as (perm, parent, gen index) with perm = parent * gen."""
-        if self._defs is None:
+    def cayley_table(self) -> tuple[tuple[Perm, ...], list[int]]:
+        """The breadth-first Cayley record: the elements in definition order,
+        and the position q of element p times generator gi at p * k + gi,
+        for k generators.  Read in order, it lists every Cayley edge
+        (p, gi, q) in BFS order; an edge is a tree edge iff it defines q."""
+        if self._cayley is None:
             self._enumerate()
-        assert self._defs is not None
-        return self._defs
+        assert self._cayley is not None
+        return self._cayley
 
     def same_group(self, other: "PermGroup") -> bool:
         return self.degree == other.degree and set(self.elements) == set(
@@ -514,11 +516,7 @@ class PermGroup:
 
     def sylow_subgroup(self, p: int) -> "Subgroup":
         """One Sylow p-subgroup, by greedy extension of a p-subgroup."""
-        pk = 1
-        n = self.order
-        while n % p == 0:
-            pk *= p
-            n //= p
+        pk = _p_part(self.order, p)
         H = _Closure(self.identity)
         while len(H.members) < pk:
             normalizer = self.normalizer(Subgroup(self, H.members, _closed=True))
@@ -531,7 +529,7 @@ class PermGroup:
                     if y in H.members or y.is_identity():
                         continue
                     E = H.extended(y)
-                    if _is_p_power(len(E.members), p):
+                    if _p_part(len(E.members), p) == len(E.members):
                         ext = E
                         break
             if ext is None:
@@ -589,12 +587,6 @@ def _p_part(n: int, p: int) -> int:
 def _bit_positions(bits: int) -> list[int]:
     # bin(bits)[:1:-1] has bit i at index i
     return [m.start() for m in _ONE.finditer(bin(bits)[:1:-1])]
-
-
-def _is_p_power(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
 
 
 class _Closure:
@@ -779,8 +771,8 @@ class GroupHom:
     """A homomorphism between permutation groups, defined on generators.
 
     The generator images are extended to the whole source by breadth-first
-    words; construction fails if the extension is inconsistent (i.e. the
-    map is not a homomorphism).
+    words; construction fails if an image lies outside the target or the
+    extension is inconsistent (i.e. the map is not a homomorphism).
     """
 
     def __init__(
@@ -796,6 +788,8 @@ class GroupHom:
         self.target = target
         self.gen_images = tuple(gen_images)
         if _map is None:
+            if not all(map(target.__contains__, self.gen_images)):
+                raise ValueError("generator images must lie in the target")
             _map = extend_generator_map(source, self.gen_images, target.identity)
             if _map is None:
                 raise ValueError("generator images do not define a homomorphism")
@@ -834,23 +828,26 @@ def extend_generator_map(
     """Extend generator images to all elements, or None if inconsistent.
 
     The one routine behind homomorphisms and G-set actions; ``identity``
-    is the codomain's.  It assigns f(cur * gen) = f(cur) * f(gen) along
-    the BFS words, then verifies f(g * s) = f(g) * f(s) for every element
-    g and generator s.  That proves f multiplicative: by induction
-    f(g * w) = f(g) * f(w) for every positive word w in the generators,
-    and every element of a finite group is such a word.
+    is the codomain's.  It walks the source's Cayley edges (p, gi, q) once,
+    in BFS order, at one codomain product f(p) * f(gen gi) each: a tree
+    edge defines f(q) as that product, a closing edge must find it equal
+    to f(q), and the first that does not returns None.  So f(g * s) =
+    f(g) * f(s) holds for every element g and generator s, which proves f
+    multiplicative: by induction f(g * w) = f(g) * f(w) for every positive
+    word w in the generators, and every element of a finite group is such
+    a word.
     """
-    fmap: dict[Perm, Perm] = {source.identity: identity}
-    defs = source.definition_order()
-    for perm, parent, gi in defs[1:]:
-        assert parent is not None and gi is not None
-        fmap[perm] = fmap[parent] * images[gi]
-    for g in source.elements:
-        fg = fmap[g]
-        for gi, s in enumerate(source.generators):
-            if fmap[g * s] != fg * images[gi]:
+    defined, targets = source.cayley_table()
+    f = [identity]
+    qs = iter(targets)
+    for fp in f:  # f grows on the way: p's edges come after p's definition
+        for image, q in zip(images, qs):
+            x = _compose(fp, image)
+            if q == len(f):
+                f.append(x)
+            elif x != f[q]:
                 return None
-    return fmap
+    return dict(zip(defined, f))
 
 
 def homomorphisms(G: PermGroup, H: PermGroup) -> list[GroupHom]:

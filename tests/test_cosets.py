@@ -27,6 +27,7 @@ from galcalc.catalogue import catalogue_group, standard_catalogue
 from galcalc.catalogue import group_from_catalogue
 from galcalc.errors import NotNormal, SizeError
 from galcalc.perm import GroupHom, Perm, PermGroup, extend_generator_map
+from galcalc.perm import homomorphisms
 from galcalc.pipelines import galois_cochains, galois_modg
 
 
@@ -364,6 +365,10 @@ def test_element_list_handed_over_from_a_closure_respects_max_order():
         PermGroup(5, S5.generators, max_order=119).normal_closure([t])
     G = PermGroup(5, S5.generators, max_order=120)
     assert G.normal_closure([t]) == G.full_subgroup()
-    assert G._defs is None  # the element list came from the closure, not a BFS
+    assert G._cayley is None  # the element list came from the closure, not a BFS
     assert G.elements == S5.elements
-    assert [d[0] for d in G.definition_order()] == [d[0] for d in S5.definition_order()]
+    # the first extension records G's Cayley table, as a BFS of S5 does
+    S3 = catalogue_group("S3")
+    homs = homomorphisms(G, S3)
+    assert G._cayley is not None and G.cayley_table() == S5.cayley_table()
+    assert [f._map for f in homs] == [f._map for f in homomorphisms(S5, S3)]

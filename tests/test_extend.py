@@ -1,17 +1,20 @@
 """The one extend-and-verify routine, against brute-force oracles.
 
 ``perm.extend_generator_map`` builds every homomorphism, every
-isomorphism and surjection witness and every G-set action map.  The
-oracles below are the paths it replaced: a full |G|^2 multiplication
-check of each candidate map, the separate BFS extension on a small
-generating set that the isomorphism and surjection searches used, and
-the element-by-generator check of G-set action maps on carrier tuples.
-The structural checks of finite categories and groupoids are tested on
-the inputs they must reject.
+isomorphism and surjection witness and every G-set action map, in one
+walk over the source's recorded Cayley edges.  The oracles below are the
+paths it replaced: a full |G|^2 multiplication check of each candidate
+map, the separate BFS extension on a small generating set that the
+isomorphism and surjection searches used, the element-by-generator check
+of G-set action maps on carrier tuples, and the two-pass extension (BFS
+assignment, then a check of f(g * s) for every element and generator)
+that came before the edge walk.  The structural checks of finite
+categories and groupoids are tested on the inputs they must reject.
 """
 
 import itertools
 import os
+import random
 import subprocess
 import sys
 
@@ -24,8 +27,10 @@ from galcalc.groupoid import FinGroupoid, delooping
 from galcalc.gset import GSet
 from galcalc.orbitcat import FinCategory, category_from_poset
 from galcalc.perm import (
+    GroupHom,
     Perm,
     PermGroup,
+    extend_generator_map,
     find_isomorphism,
     find_surjection,
     homomorphisms,
@@ -51,6 +56,30 @@ def bfs_extend(G, gens, images, identity):
     return fmap
 
 
+def two_pass_extend(G, images, identity):
+    """The extension before the Cayley-edge walk: assign f along BFS words,
+    then check f(g * s) = f(g) * f(s) for every element g and generator s."""
+    fmap = bfs_extend(G, G.generators, images, identity)
+    for g in G.elements:
+        for s, img in zip(G.generators, images):
+            if fmap[g * s] != fmap[g] * img:
+                return None
+    return fmap
+
+
+def check_same_extension(G, images, identity):
+    """The edge walk and the two-pass oracle agree: the same dict, in the
+    same definition order, or both None; returns whether it was accepted."""
+    got = extend_generator_map(G, images, identity)
+    expected = two_pass_extend(G, images, identity)
+    if expected is None:
+        assert got is None, (G, images)
+        return False
+    assert got is not None and list(got.items()) == list(expected.items()), (G, images)
+    assert all(type(v) is Perm for v in got.values())
+    return True
+
+
 def brute_force_homs(G, H):
     """Image tuples on G's generators whose extension passes the full table."""
     out = []
@@ -68,6 +97,89 @@ def test_homomorphisms_match_full_table_oracle(gspec):
         H = catalogue_group(hspec)
         got = [f.key() for f in homomorphisms(G, H)]
         assert got == brute_force_homs(G, H), (gspec, hspec)
+
+
+SMALL_TARGETS = ["C2", "S3", "D8"]
+
+
+@pytest.mark.parametrize("gspec", standard_catalogue(48))
+def test_edge_walk_matches_two_pass_oracle_on_catalogue_48(gspec):
+    G = catalogue_group(gspec)
+    rng = random.Random(gspec)
+    for hspec in SMALL_TARGETS:
+        H = catalogue_group(hspec)
+        for f in homomorphisms(G, H):
+            assert check_same_extension(G, f.gen_images, H.identity)
+        for _ in range(20):  # a seeded sample, nearly all of it rejected
+            images = [rng.choice(H.elements) for _ in G.generators]
+            check_same_extension(G, images, H.identity)
+
+
+@st.composite
+def image_tuples(draw):
+    """A source S4 or S5 and generator images in S4 or S5: any elements, or
+    conjugates of the source's generators, an automorphism."""
+    G = catalogue_group(draw(st.sampled_from(["S4", "S5"])))
+    H = catalogue_group(draw(st.sampled_from(["S4", "S5"])))
+    if H is G and draw(st.booleans()):
+        x = draw(st.sampled_from(G.elements))
+        return G, [x * g * x.inverse() for g in G.generators], H.identity
+    return G, [draw(st.sampled_from(H.elements)) for _ in G.generators], H.identity
+
+
+@settings(max_examples=80, deadline=None)
+@given(image_tuples())
+def test_edge_walk_matches_two_pass_oracle_on_s4_s5(case):
+    check_same_extension(*case)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    spec=st.sampled_from(["C2", "C3", "C4", "C2xC2", "S3", "C6", "D8", "Q8"]),
+    data=st.data(),
+)
+def test_edge_walk_matches_two_pass_oracle_on_carrier_maps(spec, data):
+    G = catalogue_group(spec)
+    n = data.draw(st.integers(min_value=0, max_value=5))
+    images = [Perm(data.draw(st.permutations(range(n)))) for _ in G.generators]
+    check_same_extension(G, images, Perm.identity(n))
+
+
+@pytest.mark.parametrize("spec", ["S3", "D8", "Q8", "A4", "S4"])
+def test_edge_walk_matches_two_pass_oracle_on_coset_actions(spec):
+    G = catalogue_group(spec)
+    for H in G.sylow_subgroups(2) + G.sylow_subgroups(3):
+        X = GSet.coset_action(H)
+        assert check_same_extension(G, X._gen_maps, Perm.identity(len(X)))
+
+
+def test_edge_walk_rejects_non_homomorphism_under_optimize():
+    code = (
+        "from galcalc.catalogue import catalogue_group\n"
+        "from galcalc.perm import GroupHom, extend_generator_map\n"
+        "C3, S3 = catalogue_group('C3'), catalogue_group('S3')\n"
+        "t = next(h for h in S3.elements if h.order() == 2)\n"
+        "print(extend_generator_map(C3, [t], S3.identity))\n"
+        "try:\n"
+        "    GroupHom(C3, S3, [t])\n"
+        "except ValueError:\n"
+        "    print('rejected')\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.split() == ["None", "rejected"]
+
+
+def test_group_hom_rejects_images_outside_the_target():
+    C2, C4 = catalogue_group("C2"), catalogue_group("C4")
+    with pytest.raises(ValueError, match="lie in the target"):
+        GroupHom(C2, C4, [Perm([1, 0, 2, 3])])  # (0 1) is not in C4
+    f = GroupHom(C2, C4, [Perm([2, 3, 0, 1])])  # (0 2)(1 3) is
+    assert not f.is_surjective() and f(C2.generators[0]) == Perm([2, 3, 0, 1])
 
 
 def oracle_search(G, H, cand_lists, gens):

@@ -14,6 +14,8 @@ plain-tuple loops on every catalogue group up to order 24, on random
 groups in S_n for n <= 7 and on degrees 0 and 1.
 """
 
+import itertools
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -194,13 +196,23 @@ def check_bulk_kernel(G, subgroups):
     els = G.elements
     assert all(type(g) is Perm for g in els)
     assert [tuple(g) for g in els] == o_closure(gens, G.degree)
-    defs = G.definition_order()
-    assert defs[0] == (G.identity, None, None)
-    assert sorted(perm for perm, _, _ in defs) == list(els)
-    position = {perm: i for i, (perm, _, _) in enumerate(defs)}
-    for i, (perm, parent, gi) in enumerate(defs[1:], 1):
-        assert type(perm) is Perm and position[parent] < i
-        assert perm == o_mul(parent, gens[gi])
+    defined, targets = G.cayley_table()
+    assert defined[0] == G.identity and sorted(defined) == list(els)
+    assert all(type(g) is Perm for g in defined)
+    # |G| * k edges (p, gi, q), in BFS order: by element position, then generator
+    assert len(targets) == G.order * len(gens)
+    edges = [
+        (p, gi, q)
+        for (p, gi), q in zip(itertools.product(range(G.order), range(len(gens))), targets)
+    ]
+    reached = 1  # positions defined so far
+    for p, gi, q in edges:
+        assert defined[q] == o_mul(defined[p], gens[gi])
+        assert q <= reached
+        if q == reached:  # the one tree edge that defines q, in order
+            assert p < q
+            reached += 1
+    assert reached == G.order
     assert G.element_orders == tuple(o_order(g) for g in els)
     for H in subgroups:
         assert H.cosets() == o_cosets(H)
