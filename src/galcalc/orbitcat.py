@@ -11,13 +11,15 @@ homotopy-equivalent nerves; the stable module pipeline builds only the
 skeleton.  Its family, the nontrivial elementary abelian p-subgroups,
 needs no closure: a conjugate of one is one, and so is a nontrivial
 intersection of two, being a subgroup of either.  ``close_family``
-closes any other seed.  The fundamental group of the nerve is presented
-on a greedy generating set S of morphisms, each morphism written as a
-word in S: one relation per generator s and non-identity morphism into
-src(s), and one trivializing relation per edge of a spanning tree of
-the generator edges.  It is the same group as the edge-path
-presentation with one generator per morphism and one relation per
-composable pair.
+closes any other seed.  Each object K's class is walked once
+(``Subgroup.class_walk``), and hom(G/H, G/K) is read off the conjugates
+of K that hold H, with no product per coset.  The fundamental group of
+the nerve is presented on a greedy generating set S of morphisms, each
+morphism written as a word in S: one relation per generator s and
+non-identity morphism into src(s), and one trivializing relation per
+edge of a spanning tree of the generator edges.  It is the same group
+as the edge-path presentation with one generator per morphism and one
+relation per composable pair.
 """
 
 from __future__ import annotations
@@ -251,7 +253,11 @@ def orbit_category(G: PermGroup, subs: Sequence[Subgroup]) -> FinCategory:
     One object per member (conjugate members give isomorphic objects, so
     class representatives give the skeleton); hom(G/H, G/K) =
     {gK : g^-1 H g <= K} with composition (gK then g'L) = g g' L and
-    identity eH.
+    identity eH.  g^-1 H g <= K iff H <= g K g^-1 = C, and g K g^-1 = C
+    exactly for g in x_C N(K), x_C from K's class walk.  So each conjugate C
+    of K gives the cosets x_C n K, n in a transversal of K in N(K), and
+    the cosets of the C that hold H (a bit test) are the morphisms G/H ->
+    G/K, listed by coset number.
     """
     subs = tuple(subs)
     if any(H.parent is not G for H in subs):
@@ -259,17 +265,19 @@ def orbit_category(G: PermGroup, subs: Sequence[Subgroup]) -> FinCategory:
     if not subs:
         raise EmptyFamily("orbit category over an empty family")
     coset_reps, coset_index = zip(*(K.cosets() for K in subs))
+    classes = []  # per object K: (C.bits, coset numbers of x_C N(K)) per C
+    for K, index in zip(subs, coset_index):
+        weyl = {index[n]: n for n in G.normalizer(K).members}.values()
+        pairs = zip(*K.class_walk()[:2])  # (C, x_C) for each conjugate C
+        classes.append([(C.bits, [index[x * n] for n in weyl]) for C, x in pairs])
     morphisms: list[Morphism] = []
     mor_index: dict[tuple[int, int, int], int] = {}
     for i, H in enumerate(subs):
-        # g^-1 H g <= K iff g^-1 maps a generating set of H into K
-        hgens = H.generating_set()
-        for j, K in enumerate(subs):
-            for ci, g in enumerate(coset_reps[j]):
-                ginv = g.inverse()
-                if all(ginv * h * g in K for h in hgens):
-                    mor_index[(i, j, ci)] = len(morphisms)
-                    morphisms.append(Morphism(i, j, (i, j, g)))
+        for j, conjugates in enumerate(classes):
+            held = [c for bits, cs in conjugates if H.bits & bits == H.bits for c in cs]
+            for ci in sorted(held):
+                mor_index[(i, j, ci)] = len(morphisms)
+                morphisms.append(Morphism(i, j, (i, j, coset_reps[j][ci])))
     identity_of = []
     for i in range(len(subs)):
         ci = coset_index[i][G.identity]

@@ -3,33 +3,37 @@
 Elements are permutations of {0, ..., degree-1}, each a ``Perm``: a
 tuple subclass that is its own image tuple, so hashing, equality and the
 lexicographic order are tuple's, in C, and a product is one
-``operator.itemgetter`` call: a whole right coset H * s is one ``map`` in
-C (``_right_coset``).  A whole group is enumerated once by breadth-first
-closure over its generators, each level's products by a generator in one
-such map; the closure records the Cayley table, each edge p * gen gi = q
-in BFS order, and ``extend_generator_map``, the one routine that builds
-and verifies homomorphisms and G-set actions, walks those edges once, at
-one codomain product each.  Generated subgroups
+``operator.itemgetter`` call: a whole right coset H * s is one ``map``
+in C (``_right_coset``).  A whole group is enumerated once by
+breadth-first closure over its generators, each level's products by a
+generator in one such map; the closure records the Cayley table, each
+edge p * gen gi = q in BFS order, and ``extend_generator_map``, the one
+routine that builds and verifies homomorphisms and G-set actions, walks
+those edges once, at one codomain product each.  Generated subgroups
 (elementary abelian and Sylow subgroups, generating sets, the generation
 tests of the isomorphism search) are closed by Dimino's algorithm, a
 coset per map.  Element orders walk each cyclic subgroup once.  A normal
 closure is that closure of its seed, grown by the conjugates of its own
 generators by the group's generators; a closure that holds every
 generator hands the group its element list, so no second closure lists
-it.  Normalizers and centralizers test one element per right coset of
-the part found so far.  A quotient G/N is first the action on the
-N-orbits, then, when that fails, the action on the left cosets of N
-(``Subgroup.cosets``, the one left-coset routine): either way the one
-check |G/N| * |N| = |G| proves both that N is normal and that the kernel
-is N.  Every element list is sorted lexicographically by image tuple, so
-all derived output (subgroups, quotients, homomorphism lists) is stable
-across runs.  A subgroup is a bitset over its parent's sorted element
-list, so containment, intersection, equality and hashing are integer
-operations, and conjugation maps bits through a per-element table of the
-parent.  ``search_generator_images`` is the one search for generator
-images: isomorphisms, surjections and fp witnesses.  Values are immutable
-after construction and safe to share across threads; lazy caches are
-filled at most once.
+it.  A subgroup's conjugacy class is walked once by the generators, with
+a conjugating element per conjugate: its normalizer is the closure of
+the walk's Schreier generators, stopped at |G| / |class|, and the center
+is read off the generators' conjugation tables.  Centralizers test one
+element per right coset of the part found so far.  A quotient G/N is
+first the action on the N-orbits, then, when that fails, the action on
+the left cosets of N (``Subgroup.cosets``, the one left-coset routine):
+either way the one check |G/N| * |N| = |G| proves both that N is normal
+and that the kernel is N.  Every element list is sorted
+lexicographically by image tuple, so all derived output (subgroups,
+quotients, homomorphism lists) is stable across runs.  A subgroup is a
+bitset over its parent's sorted element list, so containment,
+intersection, equality and hashing are integer operations, and
+conjugation maps bits through a per-element table of the parent.
+``search_generator_images`` is the one search for generator images:
+isomorphisms, surjections and fp witnesses.  Values are immutable after
+construction and safe to share across threads; lazy caches are filled at
+most once.
 """
 
 from __future__ import annotations
@@ -209,6 +213,8 @@ class PermGroup:
         self._orders: Optional[tuple[int, ...]] = None
         self._index: Optional[dict[Perm, int]] = None
         self._conj_tables: dict[Perm, tuple[int, ...]] = {}
+        self._walks: dict[int, tuple[list, list[Perm], list]] = {}
+        self._normalizers: dict["Subgroup", "Subgroup"] = {}
 
     def __repr__(self) -> str:
         label = self.name or f"degree {self.degree}, {len(self.generators)} gens"
@@ -266,9 +272,10 @@ class PermGroup:
     def conjugation_table(self, g: Perm) -> tuple[int, ...]:
         """Position of g * x * g^-1 for the element x at each position."""
         if g not in self._conj_tables:
-            index, ginv = self.element_index, g.inverse()
+            index, at = self.element_index, g.__getitem__
+            step = _right_mul(g.inverse())  # step(x) is x * g^-1
             self._conj_tables[g] = tuple(
-                index[_compose(_compose(g, x), ginv)] for x in self.elements
+                index[tuple(map(at, step(x)))] for x in self.elements
             )
         return self._conj_tables[g]
 
@@ -378,15 +385,12 @@ class PermGroup:
             whole = close(start)
         return self.full_subgroup() if whole else Subgroup(self, N.members, _closed=True)
 
-    def _subgroup_where(
-        self, holds: Callable[[Perm], bool], seed: Iterable[Perm] = ()
-    ) -> "Subgroup":
-        """The elements g with ``holds(g)``, which must form a subgroup P
-        containing ``seed``.  With S the part of P found so far, s * g is in
-        P iff g is, for s in S: so one element of each right coset S * g is
-        tested, a passing one grows S by Dimino's algorithm and a failing
-        one rules out its whole coset."""
-        S = _Closure(self.identity, seed)
+    def _subgroup_where(self, holds: Callable[[Perm], bool]) -> "Subgroup":
+        """The elements g with ``holds(g)``, which must form a subgroup P.  With
+        S the part of P found so far, s * g is in P iff g is, for s in S: so
+        one element of each right coset S * g is tested, a passing one grows
+        S by Dimino's algorithm and a failing one rules out its whole coset."""
+        S = _Closure(self.identity)
         ruled_out: set[Perm] = set()
         for g in self.elements:
             if g in S.members or g in ruled_out:
@@ -402,17 +406,30 @@ class PermGroup:
         return self._subgroup_where(lambda g: all(g * s == s * g for s in targets))
 
     def center(self) -> "Subgroup":
-        return self.centralizer(self.generators if self.generators else [])
+        """Z(G): the positions that every generator's conjugation table fixes."""
+        bits = (1 << self.order) - 1
+        for table in map(self.conjugation_table, self.generators):
+            bits &= sum(1 << i for i, j in enumerate(table) if i == j)
+        return Subgroup._of_bits(self, bits)
 
     def normalizer(self, H: "Subgroup") -> "Subgroup":
-        # g H g^-1 <= H iff g maps a generating set of H into H; H <= N(H)
-        gens = H.generating_set()
-
-        def holds(g: Perm) -> bool:
-            ginv = g.inverse()
-            return all(g * h * ginv in H for h in gens)
-
-        return self._subgroup_where(holds, gens)
+        """N(H), kept by this group: H closed by Dimino's algorithm with the
+        Schreier generators x_D^-1 g x_C of the non-tree edges of H's class
+        walk, each mapping H to H, until it has |G| / |class| elements, the
+        stabilizer's order (Holt, Eick and O'Brien, Handbook of
+        Computational Group Theory, 4.1), or else CertificateError."""
+        if H not in self._normalizers:
+            conjugates, x, edges = H.class_walk()
+            order = self.order // len(conjugates)
+            N = _Closure(self.identity, H.members)
+            for c, g, d in edges:
+                if len(N.members) == order:
+                    break
+                N.add(_compose(_compose(x[d].inverse(), g), x[c]))
+            if len(N.members) != order:
+                raise CertificateError(f"|N(H)| = {len(N.members)}, not {order}")
+            self._normalizers[H] = Subgroup(self, N.members, _closed=True)
+        return self._normalizers[H]
 
     def quotient(self, N: "Subgroup") -> "PermGroup":
         """G/N as the action of G's generators on the N-orbits, else on the
@@ -486,10 +503,10 @@ class PermGroup:
         index = self.element_index
         p_elems = self.order_p_elements(p)
         commuting = dict.fromkeys(p_elems, 0)
+        times = {x: _right_mul(x) for x in p_elems}  # times[x](y) is y * x
         for i, x in enumerate(p_elems):
             for y in p_elems[i:]:
-                # xy = yx iff x(v) = y(u) for u = x(k), v = y(k), all k
-                if all(x[v] == y[u] for u, v in zip(x, y)):
+                if times[y](x) == times[x](y):
                     commuting[x] |= 1 << index[y]
                     commuting[y] |= 1 << index[x]
         p_bits = sum(1 << index[x] for x in p_elems)
@@ -515,26 +532,23 @@ class PermGroup:
         return sorted(found.values(), key=lambda s: (s.order, s.member_key()))
 
     def sylow_subgroup(self, p: int) -> "Subgroup":
-        """One Sylow p-subgroup, by greedy extension of a p-subgroup."""
+        """One Sylow p-subgroup: a p-subgroup H grows by the first y of
+        p-power order, in sorted order, outside H with y h y^-1 in H for its
+        generators h, so H<y> is a p-group.  Such a y exists until |H| is the
+        p-part of |G|: H lies in a Sylow P, and N_P(H) > H in a p-group."""
         pk = _p_part(self.order, p)
+        orders = zip(self.elements, self.element_orders)
+        ys = [g for g, o in orders if _p_part(o, p) == o > 1]
         H = _Closure(self.identity)
         while len(H.members) < pk:
-            normalizer = self.normalizer(Subgroup(self, H.members, _closed=True))
-            ext = None
-            for y in normalizer.members:
-                if y in H.members:
-                    continue
-                if y.order() % p == 0:
-                    y = y ** (y.order() // _p_part(y.order(), p))
-                    if y in H.members or y.is_identity():
-                        continue
-                    E = H.extended(y)
-                    if _p_part(len(E.members), p) == len(E.members):
-                        ext = E
+            for y in ys:
+                if y not in H.members:
+                    yinv = y.inverse()
+                    if all(_compose(_compose(y, h), yinv) in H.members for h in H.gens):
+                        H.add(y)
                         break
-            if ext is None:
-                raise SizeError("sylow search failed to extend")  # pragma: no cover
-            H = ext
+            else:
+                raise CertificateError(f"{p}-subgroup of order {len(H.members)} ends")
         return Subgroup(self, H.members, _closed=True)
 
     def sylow_subgroups(self, p: int) -> list["Subgroup"]:
@@ -563,12 +577,12 @@ class PermGroup:
         q = 2
         while n > 1:
             if n % q == 0:
-                torsion = sum(1 for x in Q.elements if (x ** q).is_identity())
+                torsion = sum(1 for o in Q.element_orders if q % o == 0)
                 rank = 0
                 while torsion > 1:
                     rank += 1
                     torsion //= q
-                exponent = max(_p_part(x.order(), q) for x in Q.elements)
+                exponent = max(_p_part(o, q) for o in Q.element_orders)
                 data[q] = (rank, exponent)
                 while n % q == 0:
                     n //= q
@@ -717,18 +731,30 @@ class Subgroup:
         bits = sum(1 << table[i] for i in _bit_positions(self.bits))
         return Subgroup._of_bits(self.parent, bits)
 
+    def class_walk(self) -> tuple[list["Subgroup"], list[Perm], list]:
+        """The conjugacy class H = C_0, C_1, ... walked once by the parent's
+        generators (every element is a positive word in them), kept by the
+        parent: the C_c in walk order, an x_c with C_c = x_c H x_c^-1 for
+        each, and the walk's non-tree edges (c, g, d), g C_c g^-1 = C_d."""
+        G = self.parent
+        if self.bits not in G._walks:
+            out, x, edges = [self], [G.identity], []
+            seen = {self.bits: 0}
+            for c, K in enumerate(out):  # out grows while it is scanned
+                for g in G.generators:
+                    C = K.conjugate(g)
+                    d = seen.setdefault(C.bits, len(out))
+                    if d == len(out):
+                        out.append(C)
+                        x.append(_compose(g, x[c]))
+                    else:
+                        edges.append((c, g, d))
+            G._walks[self.bits] = (out, x, edges)
+        return G._walks[self.bits]
+
     def conjugacy_class(self) -> list["Subgroup"]:
-        """Every conjugate g H g^-1, this subgroup first, walked by the
-        parent's generators: each element is a positive word in them."""
-        seen = {self.bits}
-        out = [self]
-        for K in out:  # out grows while it is scanned
-            for g in self.parent.generators:
-                C = K.conjugate(g)
-                if C.bits not in seen:
-                    seen.add(C.bits)
-                    out.append(C)
-        return out
+        """Every conjugate g H g^-1, this subgroup first, in walk order."""
+        return [self] + self.class_walk()[0][1:]
 
     def cosets(self) -> tuple[list[Perm], dict[Perm, int]]:
         """The left cosets gH as (reps, index): reps[c] is the least

@@ -132,15 +132,20 @@ def _seeded_kernel(G: PermGroup, p: int, cochains: bool) -> Subgroup:
 
 
 def weyl_group(G: PermGroup, H: Subgroup) -> PermGroup:
-    """N_G(H)/H, the Weyl group of a subgroup."""
-    NG = G.normalizer(H).as_group()
-    return NG.quotient(NG.subgroup(H.members))
+    """N_G(H)/H, the Weyl group of a subgroup.  N_G(H) (from H's class walk)
+    is handed its sorted element list, on the generators ``as_group`` picks,
+    and H, closed already, is passed in as it is."""
+    N = G.normalizer(H)
+    NG = PermGroup(G.degree, N.generating_set(), max_order=G.max_order)
+    NG._elements = N.members
+    return NG.quotient(Subgroup(NG, H.members, _closed=True))
 
 
 def has_central_order_p(G: PermGroup, p: int) -> bool:
-    """True iff the center contains an element of order exactly p."""
+    """True iff the center (a bitset) holds an element of order exactly p."""
     _require_prime(p)
-    return any(z.order() == p for z in G.center().members)
+    order_p = sum(1 << i for i, o in enumerate(G.element_orders) if o == p)
+    return G.center().bits & order_p != 0
 
 
 def sylow_triple_condition(G: PermGroup, p: int) -> bool:

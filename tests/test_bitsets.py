@@ -100,9 +100,31 @@ def test_full_and_trivial_subgroups():
 
 
 def sylow_oracle(G, p):
-    """The parent's Sylow list: conjugate one by every element, dedupe, sort."""
+    """The parent's Sylow list: conjugate one by every element, dedupe, sort.
+
+    The one it starts from is checked against Sylow's theorems first, with
+    no use of the program's subgroup layer: |P| is the p-part of |G|, every
+    element of P has p-power order, and the number of conjugates is 1 mod p
+    and divides [G:P]."""
     P = G.sylow_subgroup(p)
-    return sorted(all_conjugates(G, P.members), key=lambda m: sorted(m))
+    p_part = 1
+    while G.order % (p_part * p) == 0:
+        p_part *= p
+    assert len(P.members) == p_part
+    for x in P.members:
+        n = x.order()
+        while n % p == 0:
+            n //= p
+        assert n == 1
+    conjugates = all_conjugates(G, P.members)
+    assert len(conjugates) % p == 1 % p
+    assert (G.order // p_part) % len(conjugates) == 0
+    return sorted(conjugates, key=lambda m: sorted(m))
+
+
+def center_oracle(G):
+    """The elements z with z * g = g * z for every element g of G."""
+    return [z for z in G.elements if all(z * g == g * z for g in G.elements)]
 
 
 def class_representatives_oracle(G, subs):
@@ -143,6 +165,14 @@ def elementary_abelian_oracle(G, p):
 def test_case_list_covers_order_48():
     # the 137 cases at p in {2, 3, 5} and 36 more at the primes 7 to 47
     assert len(CASES) == 173
+
+
+def test_center_matches_commuting_oracle():
+    for spec in standard_catalogue(48) + ["S1"]:
+        G = catalogue_group(spec)
+        assert list(G.center().members) == center_oracle(G), spec
+    assert not catalogue_group("C1").generators
+    assert not catalogue_group("S1").generators
 
 
 def test_generator_walk_matches_all_elements_conjugation():

@@ -12,6 +12,7 @@ from galcalc.orbitcat import (
     Morphism,
     category_from_poset,
     close_family,
+    conjugacy_class_representatives,
     nerve_pi1_presentation,
     orbit_category,
 )
@@ -95,6 +96,54 @@ def test_orbit_hom_sizes_match_fixed_point_oracle(spec, p):
     for i, H in enumerate(subs):
         for j, K in enumerate(subs):
             assert len(C.hom(i, j)) == _fixed_points_of_H_on_cosets(G, H, K)
+
+
+def orbit_category_oracle(G, subs):
+    """The per-triple scan: each coset gK of each pair (H, K) is tested
+    with products, g^-1 h g in K for the generators h of H.  Returns the
+    morphisms (src, dst, label) in order, the identities and the table."""
+    coset_reps, coset_index = zip(*(K.cosets() for K in subs))
+    morphisms, mor_index = [], {}
+    for i, H in enumerate(subs):
+        hgens = H.generating_set()
+        for j, K in enumerate(subs):
+            for ci, g in enumerate(coset_reps[j]):
+                ginv = g.inverse()
+                if all(ginv * h * g in K for h in hgens):
+                    mor_index[(i, j, ci)] = len(morphisms)
+                    morphisms.append((i, j, (i, j, g)))
+    identities = [
+        mor_index[(i, i, coset_index[i][G.identity])] for i in range(len(subs))
+    ]
+    out_of = [[] for _ in subs]
+    for s, (src, _, _) in enumerate(morphisms):
+        out_of[src].append(s)
+    table = {}
+    for f, (i, j, (_, _, g)) in enumerate(morphisms):
+        for s in out_of[j]:
+            _, l, (_, _, h) = morphisms[s]
+            table[(s, f)] = mor_index[(i, l, coset_index[l][g * h])]
+    return morphisms, identities, table
+
+
+def test_orbit_category_matches_per_triple_oracle_on_catalogue_48():
+    from galcalc.catalogue import standard_catalogue
+
+    checked = 0
+    for spec in standard_catalogue(48):
+        G = catalogue_group(spec)
+        for p in range(2, G.order + 1):
+            if G.order % p or any(p % d == 0 for d in range(2, p)):
+                continue
+            subs = conjugacy_class_representatives(G.elementary_abelian_p_subgroups(p))
+            C = orbit_category(G, subs)
+            morphisms, identities, table = orbit_category_oracle(G, subs)
+            got = [(m.src, m.dst, m.label) for m in C.morphisms]
+            assert got == morphisms, (spec, p)
+            assert list(C.identity_of) == identities, (spec, p)
+            assert C.compose_table == table, (spec, p)
+            checked += 1
+    assert checked == 173
 
 
 def test_nerve_pi0():

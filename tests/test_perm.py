@@ -1,17 +1,23 @@
 """Group-core: permutation arithmetic, subgroup machinery, hom search."""
 
 import itertools
+import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import galcalc
 from galcalc.catalogue import catalogue_group, name_group, standard_catalogue
-from galcalc.errors import NotNormal, SizeError
+from galcalc.errors import CertificateError, NotNormal, SizeError
 from galcalc.gset import GSet
 from galcalc.perm import (
     Perm,
     PermGroup,
+    Subgroup,
     are_conjugate_homs,
     find_isomorphism,
     find_surjection,
@@ -189,6 +195,45 @@ def test_normalizer_examples():
     assert syl.order == 8
     assert S4.normalizer(syl).order == 8  # self-normalizing
     assert S4.normalizer(S4.full_subgroup()).order == 24
+
+
+def test_normalizer_closure_short_of_the_stabilizer_order_is_rejected(monkeypatch):
+    G = PermGroup(4, [Perm([1, 2, 3, 0]), Perm([1, 0, 2, 3])])
+    H = G.subgroup_from_generators([Perm([1, 0, 2, 3])])
+    assert len(H.conjugacy_class()) == 6
+    # the class walk without its non-tree edges, so no Schreier generators
+    walk = Subgroup.class_walk
+    monkeypatch.setattr(Subgroup, "class_walk", lambda K: walk(K)[:2] + ([],))
+    with pytest.raises(CertificateError, match="not 4"):
+        G.normalizer(H)
+    monkeypatch.setattr(Subgroup, "class_walk", walk)
+    assert G.normalizer(H).order == 4
+    # the check is explicit, so python -O keeps it
+    code = (
+        "import galcalc.perm as perm\n"
+        "from galcalc.errors import CertificateError\n"
+        "walk = perm.Subgroup.class_walk\n"
+        "perm.Subgroup.class_walk = lambda K: walk(K)[:2] + ([],)\n"
+        "G = perm.PermGroup(4, [perm.Perm([1, 2, 3, 0]), perm.Perm([1, 0, 2, 3])])\n"
+        "H = G.subgroup_from_generators([perm.Perm([1, 0, 2, 3])])\n"
+        "assert False, 'asserts are stripped'\n"
+        "try:\n"
+        "    G.normalizer(H)\n"
+        "except CertificateError:\n"
+        "    print('rejected')\n"
+        "else:\n"
+        "    print('accepted')\n"
+    )
+    src = str(Path(galcalc.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": src},
+        timeout=60,
+        check=True,
+    )
+    assert out.stdout.strip() == "rejected"
 
 
 def normalizer_scan(G, H):
@@ -394,3 +439,28 @@ def test_abelianization_data():
     assert C12.abelianization_data() == {2: (1, 4), 3: (1, 3)}
     Q8 = catalogue_group("Q8")
     assert Q8.abelianization_data() == {2: (2, 2)}
+
+
+def abelianization_data_oracle(G):
+    """Per prime q: the q-rank from the elements with x^q = 1, and the
+    largest q-part of an element order, by powering every element of G/G'."""
+    Q = G.quotient(G.derived_subgroup())
+    data = {}
+    for q in range(2, Q.order + 1):
+        if Q.order % q or any(q % d == 0 for d in range(2, q)):
+            continue
+        torsion = sum(1 for x in Q.elements if (x ** q).is_identity())
+        rank = round(math.log(torsion, q))
+        exponent = 1
+        for x in Q.elements:
+            n = x.order()
+            while n % (exponent * q) == 0:
+                exponent *= q
+        data[q] = (rank, exponent)
+    return data
+
+
+def test_abelianization_data_matches_powering_oracle_on_catalogue_48():
+    for spec in standard_catalogue(48):
+        G = catalogue_group(spec)
+        assert G.abelianization_data() == abelianization_data_oracle(G), spec
