@@ -548,7 +548,7 @@ class PermGroup:
                         H.add(y)
                         break
             else:
-                raise CertificateError(f"{p}-subgroup of order {len(H.members)} ends")
+                raise CertificateError(f"Sylow search stuck at order {len(H.members)}")
         return Subgroup(self, H.members, _closed=True)
 
     def sylow_subgroups(self, p: int) -> list["Subgroup"]:
