@@ -1,7 +1,8 @@
 """Finite categories, orbit categories, and fundamental groups of nerves.
 
 A FinCategory stores its objects, morphisms, and a total composition
-table on composable pairs.  Orbit categories O_A(G) have one object G/H
+table on composable pairs, or a function called on demand that
+composes two morphisms.  Orbit categories O_A(G) have one object G/H
 per subgroup H in a conjugation- and intersection-closed family A, with
 hom(G/H, G/K) = {gK : g^-1 H g <= K}.  Since G/H and G/K are isomorphic
 exactly when H and K are conjugate, the skeleton on one representative
@@ -13,7 +14,8 @@ needs no closure: a conjugate of one is one, and so is a nontrivial
 intersection of two, being a subgroup of either.  ``close_family``
 closes any other seed.  Each object K's class is walked once
 (``Subgroup.class_walk``), and hom(G/H, G/K) is read off the conjugates
-of K that hold H, with no product per coset.  The fundamental group of
+of K that hold H, with no product per coset; a composite costs one
+product, made only when asked.  The fundamental group of
 the nerve is presented on a greedy generating set S of morphisms, each
 morphism written as a word in S: one relation per generator s and
 non-identity morphism into src(s), and one trivializing relation per
@@ -24,6 +26,7 @@ relation per composable pair.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
@@ -42,12 +45,15 @@ class Morphism:
 
 
 class FinCategory:
-    """A finite category with an explicit composition table.
+    """A finite category, composed by an explicit table or on demand.
 
-    Objects are sortable hashable labels; morphisms are indexed and the
-    composition table maps (g_index, f_index) -> (g o f)_index for every
-    pair with dst(f) = src(g).  ``object_info`` carries optional payload
-    data per object (orbit categories store the subgroup there).
+    Objects are sortable hashable labels; morphisms are indexed.  Either
+    ``compose_table`` maps (g_index, f_index) -> (g o f)_index for every
+    pair with dst(f) = src(g), or ``composite(g, f)`` returns that index
+    when asked, raising KeyError when dst(f) != src(g), and the table is
+    built only on request (orbit categories compose so).  ``compose(g,
+    f)`` is the one or the other.  ``object_info`` carries optional
+    payload data per object (orbit categories store the subgroup there).
     """
 
     def __init__(
@@ -55,13 +61,18 @@ class FinCategory:
         objects: Sequence[Hashable],
         morphisms: Sequence[Morphism],
         identity_of: Sequence[int],
-        compose_table: dict[tuple[int, int], int],
+        compose_table: Optional[dict[tuple[int, int], int]] = None,
         object_info: Optional[Sequence[object]] = None,
+        composite: Optional[Callable[[int, int], int]] = None,
     ):
+        if (compose_table is None) == (composite is None):
+            raise ValueError("need one of a composition table or a composite")
         self.objects = tuple(objects)
         self.morphisms = tuple(morphisms)
         self.identity_of = tuple(identity_of)
-        self.compose_table = dict(compose_table)
+        self._table = None if compose_table is None else dict(compose_table)
+        # the index of g o f, f acting first; KeyError when dst(f) != src(g)
+        self.compose: Callable[[int, int], int] = composite or self._lookup
         self.object_info = tuple(object_info) if object_info is not None else None
         self._check_basic()
 
@@ -78,29 +89,40 @@ class FinCategory:
         for m in self.morphisms:
             if not (0 <= m.src < n and 0 <= m.dst < n):
                 raise ValueError("morphism endpoint out of range")
-        nm = len(self.morphisms)
-        for (g, f), h in self.compose_table.items():
-            if not (0 <= f < nm and 0 <= g < nm and 0 <= h < nm):
-                raise ValueError("composition table index out of range")
-            mf, mg, mh = self.morphisms[f], self.morphisms[g], self.morphisms[h]
-            if mf.dst != mg.src or mh.src != mf.src or mh.dst != mg.dst:
-                raise ValueError("composition table violates source/target")
-        # keys are distinct composable pairs: total iff sum of in(o) * out(o)
-        ins, outs = [0] * n, [0] * n
-        for m in self.morphisms:
-            outs[m.src] += 1
-            ins[m.dst] += 1
-        if len(self.compose_table) != sum(a * b for a, b in zip(ins, outs)):
-            raise ValueError("composition table not total on composable pairs")
+        if self._table is not None:
+            nm = len(self.morphisms)
+            for (g, f), h in self._table.items():
+                if not (0 <= f < nm and 0 <= g < nm and 0 <= h < nm):
+                    raise ValueError("composition table index out of range")
+                mf, mg, mh = self.morphisms[f], self.morphisms[g], self.morphisms[h]
+                if mf.dst != mg.src or mh.src != mf.src or mh.dst != mg.dst:
+                    raise ValueError("composition table violates source/target")
+            # keys are distinct composable pairs: total iff one per f and g from dst(f)
+            outs = Counter(m.src for m in self.morphisms)
+            if len(self._table) != sum(outs[m.dst] for m in self.morphisms):
+                raise ValueError("composition table not total on composable pairs")
         for f, mf in enumerate(self.morphisms):
-            if self.compose_table[(self.identity_of[mf.dst], f)] != f:
+            if self.compose(self.identity_of[mf.dst], f) != f:
                 raise ValueError("left unit law fails")
-            if self.compose_table[(f, self.identity_of[mf.src])] != f:
+            if self.compose(f, self.identity_of[mf.src]) != f:
                 raise ValueError("right unit law fails")
 
-    def compose(self, g: int, f: int) -> int:
-        """Index of g o f; f acts first."""
-        return self.compose_table[(g, f)]
+    @property
+    def compose_table(self) -> dict[tuple[int, int], int]:
+        """(g, f) -> g o f on every composable pair, built on first request."""
+        if self._table is None:
+            out_of: list[list[int]] = [[] for _ in self.objects]
+            for g, m in enumerate(self.morphisms):
+                out_of[m.src].append(g)
+            self._table = {
+                (g, f): self.compose(g, f)
+                for f, m in enumerate(self.morphisms)
+                for g in out_of[m.dst]
+            }
+        return self._table
+
+    def _lookup(self, g: int, f: int) -> int:
+        return self._table[(g, f)]
 
     def is_identity_morphism(self, i: int) -> bool:
         return self.identity_of[self.morphisms[i].src] == i and (
@@ -115,12 +137,8 @@ class FinCategory:
         ]
 
     def validate(self) -> None:
-        """Exhaustively check unit and associativity laws."""
-        for f, mf in enumerate(self.morphisms):
-            if self.compose(self.identity_of[mf.dst], f) != f:
-                raise ValueError("left unit law fails")
-            if self.compose(f, self.identity_of[mf.src]) != f:
-                raise ValueError("right unit law fails")
+        """Exhaustively check associativity; the unit laws are checked on
+        construction."""
         for f, mf in enumerate(self.morphisms):
             for g, mg in enumerate(self.morphisms):
                 if mf.dst != mg.src:
@@ -257,7 +275,9 @@ def orbit_category(G: PermGroup, subs: Sequence[Subgroup]) -> FinCategory:
     exactly for g in x_C N(K), x_C from K's class walk.  So each conjugate C
     of K gives the cosets x_C n K, n in a transversal of K in N(K), and
     the cosets of the C that hold H (a bit test) are the morphisms G/H ->
-    G/K, listed by coset number.
+    G/K, listed by coset number.  The category composes on demand, one
+    product g g' per composite asked for; ``compose_table`` builds the
+    whole table only on request.
     """
     subs = tuple(subs)
     if any(H.parent is not G for H in subs):
@@ -282,21 +302,16 @@ def orbit_category(G: PermGroup, subs: Sequence[Subgroup]) -> FinCategory:
     for i in range(len(subs)):
         ci = coset_index[i][G.identity]
         identity_of.append(mor_index[(i, i, ci)])
-    # compose f: G/H_i -> G/H_j only with the morphisms out of G/H_j
-    out_of: list[list[int]] = [[] for _ in subs]
-    for s, m in enumerate(morphisms):
-        out_of[m.src].append(s)
-    table: dict[tuple[int, int], int] = {}
-    for f, (i, j, g) in enumerate(m.label for m in morphisms):
-        for s in out_of[j]:
-            _, l, h = morphisms[s].label
-            table[(s, f)] = mor_index[(i, l, coset_index[l][g * h])]
+    labels = [m.label for m in morphisms]
+
+    def composite(s: int, f: int) -> int:  # f = gH_j, then s = hH_l: ghH_l
+        (i, j, g), (k, l, h) = labels[f], labels[s]
+        if j != k:
+            raise KeyError((s, f))
+        return mor_index[(i, l, coset_index[l][g * h])]
+
     return FinCategory(
-        tuple(range(len(subs))),
-        morphisms,
-        identity_of,
-        table,
-        object_info=subs,
+        range(len(subs)), morphisms, identity_of, object_info=subs, composite=composite
     )
 
 
@@ -315,7 +330,8 @@ def nerve_pi1_presentation(C: FinCategory, basepoint: Hashable) -> FpGroup:
     and every non-identity h into src(s), plus one trivializing relation
     per edge of a breadth-first spanning tree of the generator edges,
     rooted at the least object of the component, edges taken in
-    morphism-index order.
+    morphism-index order.  Each such pair (s, h) is composed once, while
+    the words are built; a pair that does not define w(s o h) is a relator.
 
     This is the edge-path group of the nerve (Quillen, Higher algebraic
     K-theory I, section 1), which has one generator [f] per morphism and
@@ -333,33 +349,33 @@ def nerve_pi1_presentation(C: FinCategory, basepoint: Hashable) -> FpGroup:
         raise BadBasepoint(f"{basepoint!r} is not an object") from None
     comp = next(c for c in C.object_components() if bp in c)
     comp_set = set(comp)
-    morphisms, table = C.morphisms, C.compose_table
+    morphisms, compose = C.morphisms, C.compose
     nonidentity = [
         i
         for i, m in enumerate(morphisms)
         if m.src in comp_set and not C.is_identity_morphism(i)
     ]
-    into: dict[int, list[int]] = {o: [] for o in comp}
-    for i in nonidentity:
-        into[morphisms[i].dst].append(i)
     # greedy generating set; worded_into[o] lists the morphisms into o
     # that have words, which stay closed under composing with generators
     word: dict[int, Word] = {C.identity_of[o]: () for o in comp}
     worded_into = {o: [C.identity_of[o]] for o in comp}
     gens_from: dict[int, list[int]] = {o: [] for o in comp}
     gen_of: dict[int, int] = {}
+    closing: dict[int, dict[int, int]] = {}  # s -> {h: s o h} for each relator
     for m in nonidentity:
         if m in word:
             continue
-        gen_of[m] = len(gen_of) + 1
+        gen_of[m], closing[m] = len(gen_of) + 1, {}
         src = morphisms[m].src
         gens_from[src].append(m)
         # compose the new generator only with morphisms that already have
         # words, so that every word extends an older one
         queue = [(m, h) for h in worded_into[src]]
         for s, h in queue:
-            g = table[(s, h)]
-            if g not in word:
+            g = compose(s, h)
+            if g in word:  # s w(h) = w(g) is a relation, not a definition
+                closing[s][h] = g
+            else:
                 word[g] = (gen_of[s],) + word[h]
                 dst = morphisms[g].dst
                 worded_into[dst].append(g)
@@ -387,8 +403,8 @@ def nerve_pi1_presentation(C: FinCategory, basepoint: Hashable) -> FpGroup:
         frontier = nxt
     relators: list[Word] = [(gen_of[t],) for t in sorted(tree_edges)]
     for s, k in gen_of.items():
-        for h in into[morphisms[s].src]:
-            lhs, rhs = (k,) + word[h], word[table[(s, h)]]
-            if lhs != rhs:  # the others hold by construction of the words
-                relators.append(lhs + inverse_word(rhs))
+        # the pairs that defined a word hold by construction; distinct
+        # morphisms have distinct words, so the others are relators
+        for h, g in sorted(closing[s].items()):
+            relators.append((k,) + word[h] + inverse_word(word[g]))
     return FpGroup(len(gen_of), tuple(relators))

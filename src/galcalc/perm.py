@@ -17,10 +17,12 @@ closure is that closure of its seed, grown by the conjugates of its own
 generators by the group's generators; a closure that holds every
 generator hands the group its element list, so no second closure lists
 it.  A subgroup's conjugacy class is walked once by the generators, with
-a conjugating element per conjugate: its normalizer is the closure of
-the walk's Schreier generators, stopped at |G| / |class|, and the center
-is read off the generators' conjugation tables.  Centralizers test one
-element per right coset of the part found so far.  A quotient G/N is
+a conjugating element per conjugate, and serves every member: the
+normalizer is the closure of the walk's Schreier generators, stopped at
+|G| / |class|, and the center is read off the generators' conjugation
+tables.  Elementary abelian p-subgroups are found by cyclic extension of
+one representative per class.  Centralizers test one element per right
+coset of the part found so far.  A quotient G/N is
 first the action on the N-orbits, then, when that fails, the action on
 the left cosets of N (``Subgroup.cosets``, the one left-coset routine):
 either way the one check |G/N| * |N| = |G| proves both that N is normal
@@ -52,6 +54,7 @@ from .errors import CertificateError, NotNormal, SizeError
 
 DEFAULT_MAX_ORDER = 20000
 HOM_SEARCH_BOUND = 10**7
+MAX_ELEMENTARY_ABELIAN = 4096  # subgroups stored by the elementary abelian search
 _ONE = re.compile("1")
 
 
@@ -213,7 +216,7 @@ class PermGroup:
         self._orders: Optional[tuple[int, ...]] = None
         self._index: Optional[dict[Perm, int]] = None
         self._conj_tables: dict[Perm, tuple[int, ...]] = {}
-        self._walks: dict[int, tuple[list, list[Perm], list]] = {}
+        self._walks: dict[int, tuple[tuple[list, list[Perm], list], int]] = {}
         self._normalizers: dict["Subgroup", "Subgroup"] = {}
 
     def __repr__(self) -> str:
@@ -495,41 +498,50 @@ class PermGroup:
         ]
 
     def elementary_abelian_p_subgroups(self, p: int) -> list["Subgroup"]:
-        """All subgroups isomorphic to (Z/p)^r, r >= 1, sorted by
-        (order, member_key).
-
-        H extends to H x <y> by each order-p y outside H commuting with
-        H's generators: the bits of the AND of their commuting bitsets."""
-        index = self.element_index
+        """All subgroups isomorphic to (Z/p)^r, r >= 1, sorted by (order,
+        member_key): the class walks of one representative per class, found
+        by cyclic extension (Holt, Eick and O'Brien, Handbook of
+        Computational Group Theory, on subgroup lattices).  A representative
+        H extends to H x <y> by each order-p y outside H commuting with H's
+        generators, and every class one order up has such a member.  A y in
+        a subgroup K >= H of that order found already gives H x <y> = K, so
+        it is skipped: every extension made is a new class, walked once.
+        Past ``MAX_ELEMENTARY_ABELIAN`` subgroups stored it raises SizeError."""
+        index, els = self.element_index, self.elements
         p_elems = self.order_p_elements(p)
-        commuting = dict.fromkeys(p_elems, 0)
         times = {x: _right_mul(x) for x in p_elems}  # times[x](y) is y * x
-        for i, x in enumerate(p_elems):
-            for y in p_elems[i:]:
-                if times[y](x) == times[x](y):
-                    commuting[x] |= 1 << index[y]
-                    commuting[y] |= 1 << index[x]
-        p_bits = sum(1 << index[x] for x in p_elems)
-        found: dict[int, Subgroup] = {}
+
+        @functools.cache
+        def commuting(x: Perm) -> int:  # the bits of the order-p y with xy = yx
+            tx = times[x]
+            return sum(1 << index[y] for y in p_elems if times[y](x) == tx(y))
+
+        family: dict[int, Subgroup] = {}
         layer = [(_Closure(self.identity), 1)]  # the identity is at position 0
+        p_bits = sum(1 << index[x] for x in p_elems)
         while layer:
             nxt: list[tuple[_Closure, int]] = []
+            above: list[int] = []  # every member found so far of the next order
             for H, hbits in layer:
                 cand = p_bits & ~hbits
                 for x in H.gens:
-                    cand &= commuting[x]
+                    cand &= commuting(x)
+                for K in above:
+                    if K & hbits == hbits:
+                        cand &= ~K
                 while cand:
-                    y = self.elements[(cand & -cand).bit_length() - 1]
-                    E = H.extended(y)
+                    E = H.extended(els[(cand & -cand).bit_length() - 1])
                     S = Subgroup(self, E.members, _closed=True)
-                    cand &= ~S.bits
-                    if S.bits not in found:
-                        found[S.bits] = S
-                        nxt.append((E, S.bits))
-                        if len(found) > 4096:
-                            raise SizeError("elementary abelian search blow-up")
+                    nxt.append((E, S.bits))
+                    for C in S.class_walk()[0]:
+                        family[C.bits] = C
+                        above.append(C.bits)
+                        if C.bits & hbits == hbits:
+                            cand &= ~C.bits
+                    if len(family) > MAX_ELEMENTARY_ABELIAN:
+                        raise SizeError("elementary abelian search blow-up")
             layer = nxt
-        return sorted(found.values(), key=lambda s: (s.order, s.member_key()))
+        return sorted(family.values(), key=lambda s: (s.order, s.member_key()))
 
     def sylow_subgroup(self, p: int) -> "Subgroup":
         """One Sylow p-subgroup: a p-subgroup H grows by the first y of
@@ -733,24 +745,40 @@ class Subgroup:
 
     def class_walk(self) -> tuple[list["Subgroup"], list[Perm], list]:
         """The conjugacy class H = C_0, C_1, ... walked once by the parent's
-        generators (every element is a positive word in them), kept by the
-        parent: the C_c in walk order, an x_c with C_c = x_c H x_c^-1 for
-        each, and the walk's non-tree edges (c, g, d), g C_c g^-1 = C_d."""
+        generators (every element is a positive word in them): the C_c, an
+        x_c with C_c = x_c H x_c^-1 for each, and the walk's non-tree edges
+        (c, g, d), g C_c g^-1 = C_d.  The parent keeps one walk per class:
+        asked from another member C_s, it is re-rooted there, with C_s first
+        and x_c x_s^-1 for x_c; the tree edges still read x_d = g x_c."""
         G = self.parent
         if self.bits not in G._walks:
             out, x, edges = [self], [G.identity], []
             seen = {self.bits: 0}
+            # each conjugate's member positions, carried from its parent's
+            # through the conjugation tables rather than read off its bits
+            where = [_bit_positions(self.bits)]
+            tables = list(zip(G.generators, map(G.conjugation_table, G.generators)))
             for c, K in enumerate(out):  # out grows while it is scanned
-                for g in G.generators:
-                    C = K.conjugate(g)
-                    d = seen.setdefault(C.bits, len(out))
+                for g, table in tables:
+                    moved = [table[i] for i in where[c]]
+                    bits = sum(1 << i for i in moved)
+                    d = seen.setdefault(bits, len(out))
                     if d == len(out):
-                        out.append(C)
+                        out.append(Subgroup._of_bits(G, bits))
                         x.append(_compose(g, x[c]))
+                        where.append(moved)
                     else:
                         edges.append((c, g, d))
-            G._walks[self.bits] = (out, x, edges)
-        return G._walks[self.bits]
+            G._walks.update((C.bits, ((out, x, edges), c)) for c, C in enumerate(out))
+        walk, s = G._walks[self.bits]
+        if s:
+            (out, x, edges), back = walk, walk[1][s].inverse()
+            at = [s, *range(s), *range(s + 1, len(out))]  # the old index of each
+            new = {c: i for i, c in enumerate(at)}
+            walk = ([out[c] for c in at], [_compose(x[c], back) for c in at],
+                    [(new[c], g, new[d]) for c, g, d in edges])
+            G._walks[self.bits] = (walk, 0)
+        return walk
 
     def conjugacy_class(self) -> list["Subgroup"]:
         """Every conjugate g H g^-1, this subgroup first, in walk order."""
@@ -964,7 +992,9 @@ def _first_surjection(
         [((i + 1, d + 1), (gens[i] * g).order()) for i in range(d) if pair_orders]
         for d, g in enumerate(gens)
     ]
-    presented = PermGroup(G.degree, gens, max_order=G.max_order)
+    presented = G  # G's own Cayley table when G is presented on that set
+    if gens != G.generators:
+        presented = PermGroup(G.degree, gens, max_order=G.max_order)
     for images in search_generator_images(H, cands, checks):
         fmap = extend_generator_map(presented, images, H.identity)
         if fmap is not None:

@@ -316,10 +316,11 @@ def orbit_nerve(
     elementary abelian p-subgroup in (order, member_key) order.  That
     family is closed under conjugation and under nontrivial intersection
     as it stands, so no closure runs.  The skeleton has one object per
-    conjugacy class, the class's least member, so object 0 is the
-    family's least member.  It is equivalent to the orbit category on
-    the whole family, and equivalent categories have homotopy-equivalent
-    nerves, so pi0 and pi1 are those of the full nerve.
+    conjugacy class, the class's least member, read off the class walks
+    the search left cached; object 0 is the family's least member.  It is
+    equivalent to the orbit category on the whole family, and equivalent
+    categories have homotopy-equivalent nerves, so pi0 and pi1 are those
+    of the full nerve.
     """
     cat = orbit_category(G, conjugacy_class_representatives(subs))
     F = nerve_pi1_presentation(cat, min(cat.objects))

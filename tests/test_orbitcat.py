@@ -141,9 +141,33 @@ def test_orbit_category_matches_per_triple_oracle_on_catalogue_48():
             got = [(m.src, m.dst, m.label) for m in C.morphisms]
             assert got == morphisms, (spec, p)
             assert list(C.identity_of) == identities, (spec, p)
+            # composed on demand, pair by pair, then as the table on request
+            assert all(C.compose(s, f) == h for (s, f), h in table.items()), (spec, p)
             assert C.compose_table == table, (spec, p)
             checked += 1
     assert checked == 173
+
+
+def test_orbit_category_composes_on_demand():
+    G = catalogue_group("S4")
+    C = orbit_category(G, conjugacy_class_representatives(G.elementary_abelian_p_subgroups(2)))
+    assert C._table is None  # nothing composed beyond the unit-law checks
+    f = next(i for i, m in enumerate(C.morphisms) if m.src != m.dst)
+    s = next(i for i, m in enumerate(C.morphisms) if m.src == C.morphisms[f].dst)
+    assert C.morphisms[C.compose(s, f)].src == C.morphisms[f].src
+    with pytest.raises(KeyError):
+        C.compose(f, f)  # dst(f) != src(f): not composable
+    C.validate()
+    data = C.to_json()
+    assert len(data["composition"]) == len(C.compose_table) > 0
+    assert C._table is not None
+    ms = [Morphism(0, 0, "e")]
+    with pytest.raises(ValueError, match="one of a composition table"):
+        FinCategory([0], ms, [0])
+    with pytest.raises(ValueError, match="one of a composition table"):
+        FinCategory([0], ms, [0], {(0, 0): 0}, composite=lambda g, f: 0)
+    with pytest.raises(ValueError, match="unit law"):
+        FinCategory([0], ms + [Morphism(0, 0, "t")], [0], composite=lambda g, f: 1)
 
 
 def test_nerve_pi0():
