@@ -758,9 +758,9 @@ class Subgroup:
             # through the conjugation tables rather than read off its bits
             where = [_bit_positions(self.bits)]
             tables = list(zip(G.generators, map(G.conjugation_table, G.generators)))
-            for c, K in enumerate(out):  # out grows while it is scanned
+            for c, members in enumerate(where):  # where grows while it is scanned
                 for g, table in tables:
-                    moved = [table[i] for i in where[c]]
+                    moved = [table[i] for i in members]
                     bits = sum(1 << i for i in moved)
                     d = seen.setdefault(bits, len(out))
                     if d == len(out):
@@ -771,12 +771,16 @@ class Subgroup:
                         edges.append((c, g, d))
             G._walks.update((C.bits, ((out, x, edges), c)) for c, C in enumerate(out))
         walk, s = G._walks[self.bits]
-        if s:
-            (out, x, edges), back = walk, walk[1][s].inverse()
+        if s:  # re-root at C_s
+            out, x, edges = walk
+            back = x[s].inverse()
             at = [s, *range(s), *range(s + 1, len(out))]  # the old index of each
             new = {c: i for i, c in enumerate(at)}
-            walk = ([out[c] for c in at], [_compose(x[c], back) for c in at],
-                    [(new[c], g, new[d]) for c, g, d in edges])
+            walk = (
+                [out[c] for c in at],
+                [_compose(x[c], back) for c in at],
+                [(new[c], g, new[d]) for c, g, d in edges],
+            )
             G._walks[self.bits] = (walk, 0)
         return walk
 

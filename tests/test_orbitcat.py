@@ -150,7 +150,8 @@ def test_orbit_category_matches_per_triple_oracle_on_catalogue_48():
 
 def test_orbit_category_composes_on_demand():
     G = catalogue_group("S4")
-    C = orbit_category(G, conjugacy_class_representatives(G.elementary_abelian_p_subgroups(2)))
+    reps = conjugacy_class_representatives(G.elementary_abelian_p_subgroups(2))
+    C = orbit_category(G, reps)
     assert C._table is None  # nothing composed beyond the unit-law checks
     f = next(i for i, m in enumerate(C.morphisms) if m.src != m.dst)
     s = next(i for i, m in enumerate(C.morphisms) if m.src == C.morphisms[f].dst)

@@ -106,7 +106,9 @@ def best_of(case: str, max_order: int, repeat: int) -> dict:
             raise SystemExit(f"{case}: run failed\n{out.stderr}")
         runs.append(json.loads(out.stdout))
     best = dict(runs[0])
-    best["times"] = {k: min(r["times"].get(k, 0.0) for r in runs) for k in runs[0]["times"]}
+    best["times"] = {
+        k: min(r["times"].get(k, 0.0) for r in runs) for k in runs[0]["times"]
+    }
     return best
 
 
