@@ -51,7 +51,7 @@ from .errors import (
     POrderError,
     SizeError,
 )
-from .fp import DEFAULT_MAX_COSETS, FpMap, parse_fp, word_from_text
+from .fp import DEFAULT_MAX_COSETS, FpMap, IdentificationResult, parse_fp, word_from_text
 from .groupoid import hom_groupoid
 from .gset import classify_torsors
 from .perm import DEFAULT_MAX_ORDER, PermGroup
@@ -113,19 +113,23 @@ def _cmd_cochains(args: argparse.Namespace) -> int:
     return _emit_named(args, cochains_report(_group(args, args.group), args.prime))
 
 
+def _identification_lines(ident: IdentificationResult) -> list[str]:
+    """The match and its order, or the status and any certified order."""
+    if ident.status == "Identified":
+        return [f"identified {ident.match_name} (order {ident.certified_order})"]
+    lines = [f"identification: {ident.status}"]
+    if ident.certified_order is not None:
+        lines.append(f"certified order: {ident.certified_order}")
+    return lines
+
+
 def _cmd_stmod(args: argparse.Namespace) -> int:
     report = galois_stmod(
         _group(args, args.group), args.prime, max_cosets=args.max_cosets
     )
     ident = report.identification
     assert ident is not None
-    lines = []
-    if ident.status == "Identified":
-        lines.append(f"identified {ident.match_name} (order {ident.certified_order})")
-    else:
-        lines.append(f"identification: {ident.status}")
-        if ident.certified_order is not None:
-            lines.append(f"certified order: {ident.certified_order}")
+    lines = _identification_lines(ident)
     lines.append(f"pi0 components: {report.pi0_components}")
     for check in report.cross_checks:
         verdict = "agreed" if check.agreed else "DISAGREED"
@@ -263,9 +267,7 @@ def _cmd_pushout(args: argparse.Namespace) -> int:
         f"abelianization invariant factors: {list(report.invariant_factors)}",
     ]
     cert = report.certificate
-    if ident.status == "Identified":
-        lines.append(f"identified {ident.match_name} (order {ident.certified_order})")
-    elif cert is not None and cert.kind == CERT_FREE_RANK:
+    if cert is not None and cert.kind == CERT_FREE_RANK:
         lines.append(
             f"identification: {ident.status} "
             f"(free rank: the invariant factor at position {cert.zero_factor} is 0)"
@@ -277,7 +279,7 @@ def _cmd_pushout(args: argparse.Namespace) -> int:
             f"|C| = {c}, [A:f(C)] = {i}, [B:g(C)] = {j})"
         )
     else:
-        lines.append(f"identification: {ident.status}")
+        lines += _identification_lines(ident)
     _emit(args, report.to_json(), "\n".join(lines))
     if args.require_identified and ident.status != "Identified":
         return EXIT_INCONCLUSIVE

@@ -7,18 +7,21 @@ empty word is never stored as a relator.
 The module provides abelianization via integer Smith normal form, bounded
 HLT-style Todd-Coxeter coset enumeration, Tietze-move simplification,
 identification against finite permutation groups, and amalgamated
-pushouts of presentations.
+pushouts of presentations.  One enumeration has two readings: the index
+(``coset_enumeration``) and, over the trivial subgroup, the presented
+group as the permutation group of its complete coset table
+(``regular_representation``), which ``identify_finite`` names by
+``perm.find_isomorphism``, the program's one naming search.
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .errors import CertificateError, CosetLimitExceeded, IllFormedMap, ParseError
-from .perm import Perm, PermGroup, search_generator_images
+from .perm import Perm, PermGroup, find_isomorphism
 
 Word = tuple[int, ...]
 
@@ -375,21 +378,13 @@ class _CosetTable:
         return sum(1 for k in range(len(self.p)) if self.p[k] == k)
 
 
-def coset_enumeration(
-    F: FpGroup,
-    subgroup_words: Sequence[Sequence[int]] = (),
-    max_cosets: int = DEFAULT_MAX_COSETS,
-) -> int:
-    """Index of the subgroup generated by the given words (Todd-Coxeter).
-
-    With no subgroup words this is the group order.  Raises
-    CosetLimitExceeded if the table grows past max_cosets; the caller
-    must treat that as inconclusive, never as a proof of infiniteness.
-    """
+def _complete_table(
+    F: FpGroup, subgroup_words: Sequence[Sequence[int]], max_cosets: int
+) -> _CosetTable:
+    """The HLT enumeration of the cosets of the subgroup generated by the
+    words, run until every live coset's row is full."""
     if max_cosets < 1:
         raise ValueError("max_cosets must be >= 1")
-    if F.ngens == 0:
-        return 1
     relators = sorted(
         {canonical_relator(r) for r in F.relators} - {()},
         key=lambda w: (len(w), w),
@@ -415,7 +410,49 @@ def coset_enumeration(
                     if ct.table[alpha][x] is None:
                         ct.define(alpha, x)
         alpha += 1
-    return ct.live_count()
+    return ct
+
+
+def coset_enumeration(
+    F: FpGroup,
+    subgroup_words: Sequence[Sequence[int]] = (),
+    max_cosets: int = DEFAULT_MAX_COSETS,
+) -> int:
+    """Index of the subgroup generated by the given words (Todd-Coxeter).
+
+    With no subgroup words this is the group order.  Raises
+    CosetLimitExceeded if the table grows past max_cosets; the caller
+    must treat that as inconclusive, never as a proof of infiniteness.
+    """
+    return _complete_table(F, subgroup_words, max_cosets).live_count()
+
+
+def regular_representation(
+    F: FpGroup, max_cosets: int = DEFAULT_MAX_COSETS
+) -> tuple[PermGroup, tuple[Perm, ...]]:
+    """The presented group as a permutation group Q, read off the complete
+    coset table over the trivial subgroup, and the permutation of Q that
+    each generator of F is.
+
+    The live cosets, numbered 0..n-1 in definition order, are the points
+    (a complete table's live rows hold only live cosets), so Q has degree
+    n = |F|, the certified order.  Generator g acts by x -> x g^-1, the
+    table's column for g^-1: a ``Perm`` product applies its right factor
+    first, and with that action the product of the images of g and h is
+    the image of gh, so g -> its permutation is a homomorphism (the
+    column for g itself would give the image of hg).  Q is F acting
+    regularly on itself (Neubüser, An elementary introduction to coset
+    table methods, 1982).  Raises CosetLimitExceeded as
+    ``coset_enumeration`` does.
+    """
+    ct = _complete_table(F, (), max_cosets)
+    live = [k for k in range(len(ct.p)) if ct.p[k] == k]
+    point = {k: i for i, k in enumerate(live)}
+    images = tuple(
+        Perm([point[ct.table[k][_CosetTable.col(-g)]] for k in live])
+        for g in range(1, F.ngens + 1)
+    )
+    return PermGroup(len(live), images, max_order=len(live)), images
 
 
 # -- Tietze simplification -------------------------------------------------
@@ -541,8 +578,8 @@ INFINITE = "Infinite"
 class IdentificationResult:
     """Outcome of matching a presentation against finite candidates.
 
-    status is Identified with a witness when a relator-respecting
-    surjection onto a candidate of certified equal order exists;
+    status is Identified with a witness when the presented group, of
+    certified order, is isomorphic to a candidate;
     Inconclusive when the order could not be certified or no candidate
     matched; OrderExceeded when the certified order is larger than every
     candidate supplied; Infinite when a certificate proves the group
@@ -577,89 +614,54 @@ def _evaluate_word(word: Word, images: Sequence[Perm], ident: Perm) -> Perm:
     return out
 
 
-def _surjection_witness(F: FpGroup, H: PermGroup) -> Optional[tuple[Perm, ...]]:
-    """Images of F's generators in H that satisfy every relator and
-    generate H, or None, by the one search ``perm.search_generator_images``.
-
-    A relator on one generator, a power g^n, filters g's candidates to
-    the elements of order dividing n; every other relator is checked,
-    as a word of order 1, once its last generator has an image.
-    """
-    k = F.ngens
-    power = [0] * k
-    checks: list[list[tuple[Word, int]]] = [[] for _ in range(k)]
-    for r in F.relators:
-        last = max(abs(x) for x in r)
-        if all(abs(x) == last for x in r):
-            power[last - 1] = math.gcd(power[last - 1], len(r))
-        else:
-            checks[last - 1].append((r, 1))
-    elements = list(zip(H.elements, H.element_orders))
-    cands = [[h for h, o in elements if n % o == 0] for n in power]
-    return next(search_generator_images(H, cands, checks), None)
-
-
-def _abelianized_surjection_possible(
-    factors: Sequence[int], target: PermGroup
-) -> bool:
-    """Necessary condition for a surjection, on abelianizations.
-
-    ``factors`` are the invariant factors of the source abelianization
-    (0 = free).  For each prime, the target's abelianized q-rank must not
-    exceed the source's and its q-exponent must divide the source's.
-    """
-    free = sum(1 for d in factors if d == 0)
-    for q, (rank, exponent) in target.abelianization_data().items():
-        src_rank = free + sum(1 for d in factors if d and d % q == 0)
-        if rank > src_rank:
-            return False
-        if free == 0:
-            src_exp = 1
-            for d in factors:
-                e = 1
-                dd = d
-                while dd % q == 0:
-                    e *= q
-                    dd //= q
-                src_exp = max(src_exp, e)
-            if exponent > src_exp:
-                return False
-    return True
-
-
 def identify_finite(
     F: FpGroup,
     candidates: Sequence[PermGroup],
     max_cosets: int = DEFAULT_MAX_COSETS,
     presimplify: bool = True,
-    certified_order: Optional[int] = None,
+    regular: Optional[tuple[PermGroup, tuple[Perm, ...]]] = None,
 ) -> IdentificationResult:
     """Certify the presented group as one of the finite candidates.
 
-    The order is certified first by coset enumeration over the trivial
-    subgroup, unless the caller has already certified it by one and
-    passes it as ``certified_order``; only candidates of exactly that
-    order pass to the witness search, after an abelianization
-    compatibility precheck.  The witness search is
-    ``perm.search_generator_images``, the one search for generator
-    images, pruned by the relators; its witness is checked again here.
+    One coset enumeration over the trivial subgroup gives Q and the
+    generators' permutations (``regular_representation``), unless the
+    caller has run it already on the presentation identified (F, or its
+    simplification with ``presimplify``) and passes its result as
+    ``regular``.  Only candidates of order n = deg Q are tried, each by
+    ``perm.find_isomorphism`` from Q on its generators, the generators'
+    permutations; Q's element list is built only when such a candidate
+    exists.
+
+    Why that names F: a complete coset table over the trivial subgroup
+    has n live cosets, the elements of F, and F acts on them by right
+    multiplication, g sending x to x g^-1.  That action is faithful (only
+    the identity fixes the trivial coset), so F is isomorphic to Q,
+    generator to permutation.  An isomorphism Q -> candidate therefore
+    names F, and the witness is the images of the generators'
+    permutations: the first tuple, in product order over the candidate's
+    sorted elements, that satisfies the relators and generates it, since
+    those are exactly the tuples that define an isomorphism from Q on
+    its generators.  The witness is checked again here, explicitly so
+    that ``python -O`` keeps the checks: every relator vanishes at it, so
+    it defines a homomorphism F -> candidate, and it generates the
+    candidate, so with |F| = n = |candidate| that homomorphism is an
+    isomorphism.
     """
     Fs = simplify(F) if presimplify else F
-    order = certified_order
-    if order is None:
+    if regular is None:
         try:
-            order = coset_enumeration(Fs, (), max_cosets=max_cosets)
+            regular = regular_representation(Fs, max_cosets)
         except CosetLimitExceeded:
             return IdentificationResult(status=INCONCLUSIVE)
-    ab_factors = abelianization(Fs)
+    Q, gens = regular
+    order = Q.degree
     for cand in candidates:
         if cand.order != order:
             continue
-        if not _abelianized_surjection_possible(ab_factors, cand):
+        iso = find_isomorphism(Q, cand, Q.generators)
+        if iso is None:
             continue
-        witness = _surjection_witness(Fs, cand)
-        if witness is None:
-            continue
+        witness = tuple(map(iso, gens))
         ident = cand.identity
         if any(_evaluate_word(r, witness, ident) != ident for r in Fs.relators):
             raise CertificateError("witness does not satisfy the relators")

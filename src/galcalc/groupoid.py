@@ -54,8 +54,7 @@ def delooping(G: PermGroup) -> FinGroupoid:
     """BG: one object whose automorphisms are the group elements."""
     if G.order > DELOOPING_BOUND:
         raise SizeError(f"delooping bound {DELOOPING_BOUND} exceeded")
-    els = G.elements
-    index = {g: i for i, g in enumerate(els)}
+    els, index = G.elements, G.element_index
     morphisms = [Morphism(0, 0, g) for g in els]
     table = {
         (j, i): index[els[j] * els[i]]
@@ -88,8 +87,7 @@ def disjoint_union(*pieces: FinGroupoid) -> FinGroupoid:
 def action_groupoid(X: GSet) -> FinGroupoid:
     """The action groupoid: objects are points, morphisms are (g, x)."""
     G = X.group
-    els = G.elements
-    eindex = {g: i for i, g in enumerate(els)}
+    els, eindex = G.elements, G.element_index
     n = len(X.points)
     morphisms = []
     mindex: dict[tuple[int, int], int] = {}

@@ -60,8 +60,7 @@ class GSet:
     @classmethod
     def regular(cls, group: PermGroup) -> "GSet":
         """The group acting on itself by left multiplication."""
-        els = group.elements
-        index = {g: i for i, g in enumerate(els)}
+        els, index = group.elements, group.element_index
         gen_images = [
             [index[gen * x] for x in els] for gen in group.generators
         ]
@@ -277,15 +276,16 @@ def is_torsor(T: TorsorCandidate) -> bool:
 
 def _right_regular(Gp: PermGroup) -> GSet:
     """Gp on its elements by right multiplication, stored as h . x = x h^-1."""
-    index = {g: i for i, g in enumerate(Gp.elements)}
-    gen_images = [[index[x * s.inverse()] for x in index] for s in Gp.generators]
+    index = Gp.element_index
+    gen_images = [[index[x * s.inverse()] for x in Gp.elements] for s in Gp.generators]
     return GSet(Gp, Gp.elements, gen_images)
 
 
 def _induced_base(phi: GroupHom, aux: GSet) -> GSet:
-    """The source acting through phi by left multiplication on aux's carrier."""
-    index = {g: i for i, g in enumerate(aux.points)}
-    gen_images = [[index[phi(s) * x] for x in index] for s in phi.source.generators]
+    """The source acting through phi by left multiplication on aux's carrier,
+    the target's elements (``_right_regular``)."""
+    index = phi.target.element_index
+    gen_images = [[index[phi(s) * x] for x in aux.points] for s in phi.source.generators]
     return GSet(phi.source, aux.points, gen_images)
 
 
@@ -407,8 +407,7 @@ def reconstruct_pi1(G: PermGroup) -> tuple[PermGroup, GroupHom]:
     isomorphism onto G is found by generator-image search.
     """
     X = GSet.regular(G)
-    els = G.elements
-    index = {g: i for i, g in enumerate(els)}
+    els, index = G.elements, G.element_index
     n = len(els)
     auts = []
     for h in els:

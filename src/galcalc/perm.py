@@ -32,10 +32,11 @@ quotients, homomorphism lists) is stable across runs.  A subgroup is a
 bitset over its parent's sorted element list, so containment,
 intersection, equality and hashing are integer operations, and
 conjugation maps bits through a per-element table of the parent.
-``search_generator_images`` is the one search for generator images:
-isomorphisms, surjections and fp witnesses.  Values are immutable after
-construction and safe to share across threads; lazy caches are filled at
-most once.
+``search_generator_images`` is the one search for generator images,
+behind isomorphisms and surjections; presentations are named through
+``find_isomorphism`` too, from their coset-table representation.
+Values are immutable after construction and safe to share across
+threads; lazy caches are filled at most once.
 """
 
 from __future__ import annotations
@@ -567,40 +568,6 @@ class PermGroup:
         """All Sylow p-subgroups: the conjugacy class of one."""
         return sorted(self.sylow_subgroup(p).conjugacy_class(), key=Subgroup.member_key)
 
-    def derived_subgroup(self) -> "Subgroup":
-        """The commutator subgroup [G, G].
-
-        It is the normal closure of the commutators of the generators.
-        """
-        gens = self.generators
-        return self.normal_closure(
-            a * b * a.inverse() * b.inverse() for a in gens for b in gens
-        )
-
-    def abelianization_data(self) -> dict[int, tuple[int, int]]:
-        """Per-prime (rank, exponent) of the abelianized group G/[G,G].
-
-        rank is the q-rank (dimension of the q-torsion), exponent the
-        largest q-power element order; used as a surjection precheck.
-        """
-        Q = self.quotient(self.derived_subgroup())
-        data: dict[int, tuple[int, int]] = {}
-        n = Q.order
-        q = 2
-        while n > 1:
-            if n % q == 0:
-                torsion = sum(1 for o in Q.element_orders if q % o == 0)
-                rank = 0
-                while torsion > 1:
-                    rank += 1
-                    torsion //= q
-                exponent = max(_p_part(o, q) for o in Q.element_orders)
-                data[q] = (rank, exponent)
-                while n % q == 0:
-                    n //= q
-            q += 1
-        return data
-
 
 def _p_part(n: int, p: int) -> int:
     out = 1
@@ -964,14 +931,19 @@ def hom_conjugacy_classes(G: PermGroup, H: PermGroup) -> list[list[GroupHom]]:
     return classes
 
 
-def find_isomorphism(G: PermGroup, H: PermGroup) -> Optional[GroupHom]:
+def find_isomorphism(
+    G: PermGroup, H: PermGroup, gens: Optional[Sequence[Perm]] = None
+) -> Optional[GroupHom]:
     """An isomorphism G -> H, or None; order profiles prune the search.
 
-    Between groups of equal order every surjection is one.  It keeps the orders
-    of generators and pair products: ``search_generator_images`` checks both."""
+    The search maps ``gens``, elements that generate G (by default
+    ``G.small_generating_set()``), to the first images in product order
+    over H's sorted elements that define one.  Between groups of equal
+    order every surjection is one.  It keeps the orders of generators and
+    pair products: ``search_generator_images`` checks both."""
     if G.order != H.order or G.order_profile() != H.order_profile():
         return None
-    return _first_surjection(G, H, int.__eq__, pair_orders=True)
+    return _first_surjection(G, H, int.__eq__, pair_orders=True, gens=gens)
 
 
 def find_surjection(G: PermGroup, H: PermGroup) -> Optional[GroupHom]:
@@ -982,12 +954,17 @@ def find_surjection(G: PermGroup, H: PermGroup) -> Optional[GroupHom]:
 
 
 def _first_surjection(
-    G: PermGroup, H: PermGroup, fits: Callable[[int, int], bool], pair_orders: bool
+    G: PermGroup,
+    H: PermGroup,
+    fits: Callable[[int, int], bool],
+    pair_orders: bool,
+    gens: Optional[Sequence[Perm]] = None,
 ) -> Optional[GroupHom]:
     """The first surjection G -> H that ``extend_generator_map`` accepts; g
-    in G.small_generating_set() goes to an element of an order b with
-    ``fits(order of g, b)``, and with ``pair_orders`` g_i * g_d keeps its order."""
-    gens = G.small_generating_set()
+    in ``gens`` (by default G.small_generating_set()) goes to an element of
+    an order b with ``fits(order of g, b)``, and with ``pair_orders`` g_i * g_d
+    keeps its order."""
+    gens = G.small_generating_set() if gens is None else tuple(gens)
     cands = [
         [h for h, b in zip(H.elements, H.element_orders) if fits(a, b)]
         for a in map(Perm.order, gens)
@@ -1017,24 +994,19 @@ def search_generator_images(
 
     Image d comes from ``candidates[d]`` in list order; once it is set,
     each check ``(word, m)`` in ``checks[d]`` must hold: the word's image
-    has order exactly m (m = 1 for a relator).  A word's letters are i for
-    generator i (1-based) and -i for its inverse, on generators 1..d+1.
-    With checks that every witness passes, a caller's acceptance test meets
-    the same first witness as on an ``itertools.product`` scan.  Words run
-    on positions in H's sorted element list, each product computed once.
+    has order exactly m.  A word is a tuple of positive letters i, for
+    generator i (1-based), on generators 1..d+1; ``find_isomorphism`` checks
+    the pair products g_i * g_(d+1).  With checks that every witness
+    passes, a caller's acceptance test meets the same first witness as on
+    an ``itertools.product`` scan.  Words run on positions in H's sorted
+    element list, each product computed once.
     """
     els, index = H.elements, H.element_index
     n, k, orders = len(els), len(candidates), H.element_orders
     positions = [[index[h] for h in c] for c in candidates]
-    # letter i reads slot i - 1, and letter -i slot k + i - 1, its inverse
-    slot_checks = [
-        [(tuple(x - 1 if x > 0 else k - x - 1 for x in w), m) for w, m in c]
-        for c in checks
-    ]
-    inverted = {-x - 1 for c in checks for w, _ in c for x in w if x < 0}
-    inverse = {i: index[els[i].inverse()] for d in inverted for i in positions[d]}
+    slot_checks = [[(tuple(x - 1 for x in w), m) for w, m in c] for c in checks]
     products: dict[int, int] = {}
-    slots = [0] * (2 * k)
+    slots = [0] * k
 
     def holds(word: tuple[int, ...], m: int) -> bool:
         acc = slots[word[0]]
@@ -1048,13 +1020,11 @@ def search_generator_images(
 
     def walk(d: int) -> Iterator[tuple[Perm, ...]]:
         if d == k:
-            gens = tuple(els[i] for i in slots[:k])
+            gens = tuple(els[i] for i in slots)
             if len(_Closure(H.identity, gens).members) == n:
                 yield gens
             return
         for slots[d] in positions[d]:
-            if d in inverted:
-                slots[k + d] = inverse[slots[d]]
             if all(holds(w, m) for w, m in slot_checks[d]):
                 yield from walk(d + 1)
 

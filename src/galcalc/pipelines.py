@@ -56,6 +56,7 @@ from .fp import (
     coset_enumeration,
     identify_finite,
     pushout,
+    regular_representation,
     simplify,
 )
 from .orbitcat import (
@@ -269,9 +270,10 @@ def galois_stmod(
     of the nerve of the reduced orbit category on the nontrivial
     elementary abelian p-subgroups, built on its skeleton
     (``orbit_nerve``), whose maximal objects give the maximal classes.
-    One coset enumeration certifies the order (Inconclusive at the coset
-    bound); only then is the candidate pool of that order built and the
-    group identified against it.  Every applicable special-case
+    One coset enumeration certifies the order and gives the group's
+    regular representation (Inconclusive at the coset bound); only then
+    is the candidate pool of that order built and the group identified
+    against it.  Every applicable special-case
     cross-check runs.
     """
     _require_prime(p)
@@ -286,13 +288,13 @@ def galois_stmod(
     Fs = simplify(F)
     weyl = None
     try:
-        order = coset_enumeration(Fs, (), max_cosets=max_cosets)
+        regular = regular_representation(Fs, max_cosets)
     except CosetLimitExceeded:
         ident = IdentificationResult(status=INCONCLUSIVE)
     else:
-        pool = stmod_candidates(G, modg, maximal, order)
+        pool = stmod_candidates(G, modg, maximal, regular[0].degree)
         weyl = pool[-1]  # the pool ends with the Weyl group of maximal[-1]
-        ident = identify_finite(Fs, pool, presimplify=False, certified_order=order)
+        ident = identify_finite(Fs, pool, presimplify=False, regular=regular)
     report = GaloisReport(
         group_spec=G.name or f"<order {G.order}>",
         prime=p,
@@ -476,7 +478,8 @@ def van_kampen_pushout(
     the legs, proves the pushout Infinite without enumerating it.
     Otherwise one coset enumeration certifies the order, and the
     identification against the catalogue of that order (when it is at
-    most ``PUSHOUT_CANDIDATE_BOUND``) reuses it; when that run hits the
+    most ``PUSHOUT_CANDIDATE_BOUND``) reuses its regular representation;
+    when that run hits the
     coset bound the identification is Inconclusive.
     """
     P = pushout(left, right)
@@ -493,15 +496,16 @@ def van_kampen_pushout(
             P, Ps, factors, IdentificationResult(status=INFINITE), certificate
         )
     try:
-        order = coset_enumeration(Ps, (), max_cosets=max_cosets)
+        regular = regular_representation(Ps, max_cosets)
     except CosetLimitExceeded:
         return VanKampenReport(
             P, Ps, factors, IdentificationResult(status=INCONCLUSIVE)
         )
+    order = regular[0].degree
     named = order <= PUSHOUT_CANDIDATE_BOUND
     specs = standard_catalogue(order, exact=True) if named else []
     candidates = [catalogue_group(spec) for spec in specs]
-    ident = identify_finite(Ps, candidates, presimplify=False, certified_order=order)
+    ident = identify_finite(Ps, candidates, presimplify=False, regular=regular)
     return VanKampenReport(P, Ps, factors, ident)
 
 

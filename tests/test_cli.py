@@ -130,6 +130,18 @@ def test_pushout_command(capsys):
     assert "[2]" in out
 
 
+def test_pushout_inconclusive_prints_certified_order(capsys):
+    # C3 x| C4 has order 12 but no catalogue group of order 12 matches
+    code, out, _ = run_cli(capsys, "pushout", "fp:0:", "fp:2:aaa,bbbb,baBa", "fp:0:", "-", "-")
+    assert code == 0
+    assert out.splitlines()[-2:] == ["identification: Inconclusive", "certified order: 12"]
+    code, out, _ = run_cli(
+        capsys, "pushout", "fp:0:", "fp:2:aaa,bbbb,baBa", "fp:0:", "-", "-",
+        "--format", "json",
+    )
+    assert json.loads(out)["identification"]["certified_order"] == 12
+
+
 def test_exit_code_parse_error(capsys):
     code, _, err = run_cli(capsys, "modg", "NOPE", "-p", "2")
     assert code == 2

@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import galcalc
@@ -25,11 +25,13 @@ from galcalc.fp import (
     inverse_word,
     parse_fp,
     pushout,
+    regular_representation,
     simplify,
     smith_normal_form,
     word_from_text,
     word_to_text,
 )
+from galcalc.perm import find_isomorphism
 
 
 def test_words():
@@ -195,6 +197,66 @@ def test_heavy_collapse():
     assert abelianization(F) == [2]
 
 
+def assert_regular(F, Q, images):
+    """Q has one permutation per generator of F, every relator vanishes on
+    them, they generate Q, and Q acts regularly: |Q| = deg Q, transitive."""
+    n = Q.degree
+    assert len(images) == F.ngens
+    ident = Q.identity
+    for r in F.relators:
+        acc = ident
+        for x in r:
+            acc = acc * (images[x - 1] if x > 0 else images[-x - 1].inverse())
+        assert acc == ident, r
+    assert set(Q.generators) == {g for g in images if not g.is_identity()}
+    assert Q.order == n
+    assert {g[0] for g in Q.elements} == set(range(n))
+
+
+@pytest.mark.parametrize("spec,F", STANDARD_PRESENTATIONS)
+def test_regular_representation_is_the_group(spec, F):
+    Q, images = regular_representation(F)
+    assert Q.degree == coset_enumeration(F)
+    assert_regular(F, Q, images)
+    assert find_isomorphism(Q, catalogue_group(spec)) is not None
+
+
+def test_regular_representation_of_trivial_groups():
+    for F in (FpGroup(0, ()), FpGroup(2, ((1,), (2,))), FpGroup(2, ((1, 2), (1, -2), (1, 1, 1)))):
+        Q, images = regular_representation(F)
+        assert Q.degree == 1 and Q.generators == ()
+        assert images == (Q.identity,) * F.ngens
+    with pytest.raises(CosetLimitExceeded):
+        regular_representation(FpGroup(1, ()), 50)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    relators=st.lists(
+        st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), min_size=1, max_size=10),
+        min_size=1,
+        max_size=4,
+    )
+)
+@example(relators=[[-2, -2], [2, -1, -1, -3], [-1, -1, -2, 1, -3]])
+def test_regular_representation_matches_enumeration(relators):
+    # random relators force coincidences, which must leave a complete,
+    # compacted table on the live cosets.  The example (fp:3:BB,bAAC,AABaC)
+    # has relators whose reversed words are not relators, so it tells the
+    # action x -> x g^-1 from x -> x g, whose images satisfy only the
+    # reversed words
+    F = FpGroup(3, tuple(tuple(r) for r in relators))
+    try:
+        order = coset_enumeration(F, (), 300)
+    except CosetLimitExceeded:
+        with pytest.raises(CosetLimitExceeded):
+            regular_representation(F, 300)
+        return
+    Q, images = regular_representation(F, 300)
+    assert Q.degree == order
+    assert_regular(F, Q, images)
+
+
 # -- simplification -----------------------------------------------------------
 
 
@@ -290,30 +352,44 @@ def test_identify_inconclusive_no_match():
 
 
 def test_identify_rejects_bad_witness_under_optimize():
-    # the certificate checks are explicit, so python -O keeps them: a
-    # witness of identity images fails to generate C3 and must raise
-    code = (
-        "import galcalc.fp as fp\n"
-        "from galcalc.catalogue import catalogue_group\n"
-        "from galcalc.errors import CertificateError\n"
-        "fp._surjection_witness = lambda F, H: (H.identity,) * F.ngens\n"
-        "try:\n"
-        "    r = fp.identify_finite(fp.parse_fp('fp:1:aaa'), [catalogue_group('C3')])\n"
-        "except CertificateError:\n"
-        "    print('rejected')\n"
-        "else:\n"
-        "    print(r.status)\n"
-    )
+    # the certificate checks are explicit, so python -O keeps them.  A fake
+    # "isomorphism" gets a bad witness in: identity images satisfy the
+    # relator of C3 but do not generate it; a 3-cycle and a transposition
+    # generate S3 but the 3-cycle breaks the relator aa
+    fakes = [
+        ("fp:1:aaa", "C3", "lambda Q, H, gens: (lambda g: H.identity)", "generate"),
+        (
+            "fp:2:aa,bb,ababab",
+            "S3",
+            "lambda Q, H, gens: dict(zip(gens, (max(H, key=Perm.order), "
+            "next(h for h in H if h.order() == 2)))).__getitem__",
+            "relators",
+        ),
+    ]
     src = str(Path(galcalc.__file__).resolve().parents[1])
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", code],
-        capture_output=True,
-        text=True,
-        env={"PYTHONPATH": src},
-        timeout=60,
-        check=True,
-    )
-    assert out.stdout.strip() == "rejected"
+    for spec, name, fake, reason in fakes:
+        code = (
+            "import galcalc.fp as fp\n"
+            "from galcalc.catalogue import catalogue_group\n"
+            "from galcalc.errors import CertificateError\n"
+            "from galcalc.perm import Perm\n"
+            f"fp.find_isomorphism = {fake}\n"
+            "try:\n"
+            f"    r = fp.identify_finite(fp.parse_fp({spec!r}), [catalogue_group({name!r})])\n"
+            "except CertificateError as exc:\n"
+            "    print('rejected:', exc)\n"
+            "else:\n"
+            "    print(r.status)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": src},
+            timeout=60,
+            check=True,
+        )
+        assert out.stdout.startswith("rejected:") and reason in out.stdout, (spec, out.stdout)
 
 
 # -- pushouts ------------------------------------------------------------------

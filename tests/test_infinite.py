@@ -24,6 +24,7 @@ from galcalc.fp import (
     identify_finite,
     parse_fp,
     pushout,
+    regular_representation,
     simplify,
     smith_normal_form,
 )
@@ -42,9 +43,10 @@ def enumerated_answer(left, right):
     the answer before the certificates, kept as the oracle."""
     Ps = simplify(pushout(left, right))
     try:
-        order = coset_enumeration(Ps)
+        regular = regular_representation(Ps)
     except CosetLimitExceeded:
         return ("Inconclusive", None, None)
+    order = regular[0].degree
     candidates = []
     if order <= 48:
         candidates = [
@@ -52,7 +54,7 @@ def enumerated_answer(left, right):
             for spec in standard_catalogue(order)
             if catalogue_group(spec).order == order
         ]
-    r = identify_finite(Ps, candidates, presimplify=False, certified_order=order)
+    r = identify_finite(Ps, candidates, presimplify=False, regular=regular)
     return (r.status, r.match_name, r.certified_order)
 
 

@@ -1,7 +1,6 @@
 """Group-core: permutation arithmetic, subgroup machinery, hom search."""
 
 import itertools
-import math
 import subprocess
 import sys
 from pathlib import Path
@@ -428,39 +427,3 @@ def test_subgroup_validation():
     r = next(g for g in S3.elements if g.order() == 3)
     with pytest.raises(ValueError):
         S3.subgroup([S3.identity, r])
-
-
-def test_abelianization_data():
-    S3 = catalogue_group("S3")
-    assert S3.abelianization_data() == {2: (1, 2)}
-    V4 = catalogue_group("C2xC2")
-    assert V4.abelianization_data() == {2: (2, 2)}
-    C12 = catalogue_group("C12")
-    assert C12.abelianization_data() == {2: (1, 4), 3: (1, 3)}
-    Q8 = catalogue_group("Q8")
-    assert Q8.abelianization_data() == {2: (2, 2)}
-
-
-def abelianization_data_oracle(G):
-    """Per prime q: the q-rank from the elements with x^q = 1, and the
-    largest q-part of an element order, by powering every element of G/G'."""
-    Q = G.quotient(G.derived_subgroup())
-    data = {}
-    for q in range(2, Q.order + 1):
-        if Q.order % q or any(q % d == 0 for d in range(2, q)):
-            continue
-        torsion = sum(1 for x in Q.elements if (x ** q).is_identity())
-        rank = round(math.log(torsion, q))
-        exponent = 1
-        for x in Q.elements:
-            n = x.order()
-            while n % (exponent * q) == 0:
-                exponent *= q
-        data[q] = (rank, exponent)
-    return data
-
-
-def test_abelianization_data_matches_powering_oracle_on_catalogue_48():
-    for spec in standard_catalogue(48):
-        G = catalogue_group(spec)
-        assert G.abelianization_data() == abelianization_data_oracle(G), spec

@@ -419,14 +419,19 @@ def test_van_kampen_amalgamated():
 
 def test_van_kampen_enumerates_each_pushout_once(monkeypatch):
     calls = []
-    original = fp.coset_enumeration
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counting(original):
+        def count(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
 
-    monkeypatch.setattr(fp, "coset_enumeration", counting)
-    monkeypatch.setattr(pipelines, "coset_enumeration", counting)
+        return count
+
+    # an enumeration is either reading of the one Todd-Coxeter routine
+    for name in ("coset_enumeration", "regular_representation"):
+        wrapped = counting(getattr(fp, name))
+        monkeypatch.setattr(fp, name, wrapped)
+        monkeypatch.setattr(pipelines, name, wrapped)
     triv = FpGroup(0, ())
     Z = FpGroup(1, ())
     C2 = FpGroup(1, ((1, 1),))

@@ -11,7 +11,7 @@ per case.
 import pytest
 
 from galcalc.catalogue import catalogue_group, standard_catalogue
-from galcalc.fp import coset_enumeration, identify_finite, simplify
+from galcalc.fp import identify_finite, regular_representation, simplify
 from galcalc.pipelines import (
     galois_modg,
     galois_stmod,
@@ -54,10 +54,11 @@ def test_certified_order_pool_matches_full_pool(spec, p):
     cat, _, F = orbit_nerve(G, subs)
     maximal = maximal_representatives(cat)
     Fs = simplify(F)
-    order = coset_enumeration(Fs)
+    regular = regular_representation(Fs)
+    order = regular[0].degree
     pool = stmod_candidates(G, modg, maximal, order)
     assert {c.order for c in pool[1 : -len(maximal) - 1]} <= {order}
-    ident = identify_finite(Fs, pool, presimplify=False, certified_order=order)
+    ident = identify_finite(Fs, pool, presimplify=False, regular=regular)
     oracle = identify_finite(Fs, full_pool(G, modg, maximal), presimplify=False)
     assert _key(ident) == _key(oracle), (spec, p)
     assert ident.status == "Identified", (spec, p)

@@ -1,23 +1,27 @@
-"""The witness search of ``fp.identify_finite`` against the table search
-it replaced.
+"""``fp.identify_finite`` against a table search for a witness.
 
-``fp._surjection_witness`` runs the one backtracking search for
-generator images, ``perm.search_generator_images``.  The oracle below is
-the search it replaced: a backtracker over the candidate's full
-multiplication table.  Both must return the same image tuple, or both
-None, on every (presentation, candidate) pair the pipelines meet and on
-random presentations.
+``identify_finite`` names a presentation by ``perm.find_isomorphism``
+from the regular representation its coset table gives.  The oracle below
+is the fp-side search it replaced: a backtracker for relator-respecting,
+generating images over the candidate's full multiplication table.  Given
+the certified order n, ``identify_finite`` must return Identified exactly
+when the oracle finds a witness on a candidate of order n, naming the
+first such candidate with the oracle's witness, the first in product
+order, and that witness must satisfy every relator and generate the
+candidate.  This is checked on every (presentation,
+candidates) call the pipelines make and on random presentations.
 """
 
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import galcalc.fp as fp
+import galcalc.pipelines as pipelines
 from galcalc.catalogue import catalogue_group, standard_catalogue
-from galcalc.fp import FpGroup, FpMap
+from galcalc.errors import CosetLimitExceeded
+from galcalc.fp import FpGroup, FpMap, identify_finite, regular_representation
 from galcalc.pipelines import galois_stmod, van_kampen_pushout
 
 UP_TO_12 = [catalogue_group(s) for s in standard_catalogue(12)]
@@ -90,27 +94,51 @@ def table_witness(F, H):
     return None
 
 
-def recorded_searches(monkeypatch, run):
-    """The (presentation, candidate) pairs ``run`` passes to the search."""
-    pairs = []
-    search = fp._surjection_witness
+def generated_order(gens, identity):
+    seen, frontier = {identity}, [identity]
+    while frontier:
+        frontier = [x * g for x in frontier for g in gens if x * g not in seen]
+        seen.update(frontier)
+    return len(seen)
 
-    def record(F, H):
-        pairs.append((F, H))
-        return search(F, H)
 
-    monkeypatch.setattr(fp, "_surjection_witness", record)
+def assert_matches_oracle(F, candidates, regular, result):
+    """``result`` is identify_finite(F, candidates, regular=regular)."""
+    n = regular[0].degree
+    assert result.certified_order == n
+    named = [H for H in candidates if H.order == n]
+    expected = next((H for H in named if table_witness(F, H) is not None), None)
+    if expected is None:
+        assert result.status != "Identified", (F.spec_text(), n)
+        return
+    assert result.status == "Identified", (F.spec_text(), expected.name)
+    assert result.candidate is expected
+    # the first witness in product order, as the table search finds it
+    assert result.witness == table_witness(F, expected), (F.spec_text(), expected.name)
+    witness, ident = result.witness, expected.identity
+    for r in F.relators:
+        acc = ident
+        for x in r:
+            acc = acc * (witness[x - 1] if x > 0 else witness[-x - 1].inverse())
+        assert acc == ident, (F.spec_text(), expected.name, r)
+    assert generated_order(witness, ident) == n
+
+
+def recorded_calls(monkeypatch, run):
+    """The (presentation, candidates, regular, result) of every
+    ``identify_finite`` call ``run`` makes through the pipelines."""
+    calls = []
+
+    def record(F, candidates, presimplify=True, regular=None, **kwargs):
+        assert not presimplify and regular is not None
+        result = identify_finite(F, candidates, presimplify=False, regular=regular, **kwargs)
+        calls.append((F, list(candidates), regular, result))
+        return result
+
+    monkeypatch.setattr(pipelines, "identify_finite", record)
     run()
     monkeypatch.undo()
-    return pairs
-
-
-def assert_matches_oracle(pairs):
-    for F, H in pairs:
-        assert fp._surjection_witness(F, H) == table_witness(F, H), (
-            F.spec_text(),
-            H.name,
-        )
+    return calls
 
 
 def cyclic(m):
@@ -137,10 +165,17 @@ def test_pushout_searches_match_oracle(monkeypatch):
                             FpMap(Z, Cm, ((1,) * u,)), FpMap(Z, Cn, ((-1,) * v,))
                         )
 
-    pairs = recorded_searches(monkeypatch, run)
-    assert len(pairs) > 100
-    assert any(fp._surjection_witness(F, H) is None for F, H in pairs)
-    assert_matches_oracle(pairs)
+    calls = recorded_calls(monkeypatch, run)
+    assert len(calls) > 100
+    # some candidate of the certified order is not the group
+    assert any(
+        table_witness(F, H) is None
+        for F, candidates, regular, _ in calls
+        for H in candidates
+        if H.order == regular[0].degree
+    )
+    for call in calls:
+        assert_matches_oracle(*call)
 
 
 def test_stmod_searches_match_oracle(monkeypatch):
@@ -151,25 +186,32 @@ def test_stmod_searches_match_oracle(monkeypatch):
                 if G.order % p == 0 and all(p % q for q in range(2, p)):
                     galois_stmod(G, p)
 
-    pairs = recorded_searches(monkeypatch, run)
-    assert len(pairs) > 50
-    assert_matches_oracle(pairs)
+    calls = recorded_calls(monkeypatch, run)
+    assert len(calls) > 50
+    for call in calls:
+        assert_matches_oracle(*call)
 
 
-letters = st.sampled_from([1, -1, 2, -2])
+letters = st.sampled_from([1, -1, 2, -2, 3, -3])
 
 
 @settings(max_examples=150, deadline=None)
-@given(relators=st.lists(st.lists(letters, min_size=1, max_size=8), min_size=1, max_size=3))
+@given(relators=st.lists(st.lists(letters, min_size=1, max_size=8), min_size=1, max_size=4))
+@example(relators=[[-2, -2], [2, -1, -1, -3], [-1, -1, -2, 1, -3]])
 def test_random_presentations_match_oracle(relators):
-    F = FpGroup(2, tuple(tuple(r) for r in relators))
+    F = FpGroup(3, tuple(tuple(r) for r in relators))
+    try:
+        regular = regular_representation(F, 200)
+    except CosetLimitExceeded:
+        return
     for H in UP_TO_12:
-        assert fp._surjection_witness(F, H) == table_witness(F, H), (
-            F.spec_text(),
-            H.name,
-        )
+        result = identify_finite(F, [H], presimplify=False, regular=regular)
+        assert_matches_oracle(F, [H], regular, result)
+    result = identify_finite(F, UP_TO_12, presimplify=False, regular=regular)
+    assert_matches_oracle(F, UP_TO_12, regular, result)
 
 
 @pytest.mark.parametrize("H", UP_TO_12[:6], ids=lambda H: H.name)
 def test_no_generators(H):
-    assert fp._surjection_witness(FpGroup(0, ()), H) == table_witness(FpGroup(0, ()), H)
+    F = FpGroup(0, ())
+    assert_matches_oracle(F, [H], regular_representation(F), identify_finite(F, [H]))

@@ -7,11 +7,12 @@ rebind each name in the galcalc modules that holds the function, so the
 program's files are untouched.  Each stage and the total take their best
 over the runs, and one markdown table row is printed per case:
 
-    | Case | Family | Gens / rels | elementary_abelian | reps | orbit_category | nerve | simplify | Total |
+    | Case | Family | Gens / rels | elementary_abelian | reps | orbit_category | nerve | simplify | identify | Total |
 
 Family is the number of nontrivial elementary abelian p-subgroups, reps
-is ``conjugacy_class_representatives``, and gens / rels count the nerve
-presentation before ``simplify``.  Stdlib only:
+is ``conjugacy_class_representatives``, identify is ``identify_finite``
+(naming the certified group against the candidate pool), and gens / rels
+count the nerve presentation before ``simplify``.  Stdlib only:
 
     python3 tools/reach_ladder.py --repeat 3 S7@2 A8@3
     python3 tools/reach_ladder.py --max-order 100000 'perm:12:...@3'
@@ -35,6 +36,7 @@ STAGES = {
     "orbit_category": ("galcalc.orbitcat", "orbit_category"),
     "nerve": ("galcalc.orbitcat", "nerve_pi1_presentation"),
     "simplify": ("galcalc.fp", "simplify"),
+    "identify": ("galcalc.fp", "identify_finite"),
 }
 
 DEFAULT_CASES = (
