@@ -11,7 +11,7 @@ Commands:
     stone <algebra-file>      spectrum and decompositions of a Boolean algebra
     pushout <F0> <F1> <F2> <left-map> <right-map>
                               van Kampen pushout F1 *_F0 F2
-    selftest                  run the invariant suites
+    selftest                  one smoke check per layer
 
 ``stmod`` and ``orbit-nerve`` build the orbit category on one subgroup
 per conjugacy class (its skeleton): an equivalent category, whose nerve
@@ -62,6 +62,7 @@ from .pipelines import (
     galois_stmod,
     modg_report,
     orbit_nerve,
+    require_prime_divisor,
     van_kampen_pushout,
 )
 from .stone import BooleanAlgebra, idempotent_decompositions, spectrum
@@ -177,8 +178,7 @@ def _cmd_torsors(args: argparse.Namespace) -> int:
 
 def _cmd_orbit_nerve(args: argparse.Namespace) -> int:
     G = _group(args, args.group)
-    if G.order % args.prime != 0:
-        raise POrderError(f"prime {args.prime} does not divide |G| = {G.order}")
+    require_prime_divisor(G, args.prime)
     cat, components, F = orbit_nerve(G, G.elementary_abelian_p_subgroups(args.prime))
     payload = {
         "schema": 2,
@@ -287,8 +287,7 @@ def _cmd_pushout(args: argparse.Namespace) -> int:
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
-    failures = selftest_mod.run_all(verbose=True)
-    return EXIT_OK if failures == 0 else 1
+    return EXIT_OK if selftest_mod.run_all() == 0 else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -299,20 +298,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, prime: bool = False) -> None:
+    def add_common(
+        p: argparse.ArgumentParser,
+        max_order: bool = True,
+        max_cosets: bool = False,
+        prime: bool = False,
+    ) -> None:
+        """--format, and the options the command's handler reads."""
         p.add_argument(
             "--format", choices=("text", "json"), default="text",
             help="output format",
         )
-        p.add_argument(
-            "--max-order", type=int, default=None,
-            help=f"group order bound (default {DEFAULT_MAX_ORDER}; "
-            "env GALOIS_MAX_ORDER)",
-        )
-        p.add_argument(
-            "--max-cosets", type=int, default=DEFAULT_MAX_COSETS,
-            help="Todd-Coxeter coset bound",
-        )
+        if max_order:
+            p.add_argument(
+                "--max-order", type=int, default=None,
+                help=f"group order bound (default {DEFAULT_MAX_ORDER}; "
+                "env GALOIS_MAX_ORDER)",
+            )
+        if max_cosets:
+            p.add_argument(
+                "--max-cosets", type=int, default=DEFAULT_MAX_COSETS,
+                help="Todd-Coxeter coset bound",
+            )
         if prime:
             p.add_argument("-p", "--prime", type=int, required=True,
                            help="characteristic of the ground field")
@@ -333,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
         "skeletal orbit category: one object per conjugacy class)",
     )
     p.add_argument("group")
-    add_common(p, prime=True)
+    add_common(p, max_cosets=True, prime=True)
     p.add_argument(
         "--require-identified", action="store_true",
         help="exit 4 unless the result is identified",
@@ -364,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stone", help="spectrum of a finite Boolean algebra")
     p.add_argument("algebra_file")
-    add_common(p)
+    add_common(p, max_order=False)
     p.set_defaults(func=_cmd_stone)
 
     p = sub.add_parser("pushout", help="van Kampen pushout of presentations")
@@ -373,12 +380,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("right_target")
     p.add_argument("left_map", help="comma-separated image words ('1' = empty)")
     p.add_argument("right_map")
-    add_common(p)
+    add_common(p, max_order=False, max_cosets=True)
     p.add_argument("--require-identified", action="store_true")
     p.set_defaults(func=_cmd_pushout)
 
-    p = sub.add_parser("selftest", help="run the invariant suites")
-    add_common(p)
+    p = sub.add_parser("selftest", help="one smoke check per layer")
     p.set_defaults(func=_cmd_selftest)
 
     return parser

@@ -618,16 +618,15 @@ def identify_finite(
     F: FpGroup,
     candidates: Sequence[PermGroup],
     max_cosets: int = DEFAULT_MAX_COSETS,
-    presimplify: bool = True,
     regular: Optional[tuple[PermGroup, tuple[Perm, ...]]] = None,
 ) -> IdentificationResult:
     """Certify the presented group as one of the finite candidates.
 
     One coset enumeration over the trivial subgroup gives Q and the
     generators' permutations (``regular_representation``), unless the
-    caller has run it already on the presentation identified (F, or its
-    simplification with ``presimplify``) and passes its result as
-    ``regular``.  Only candidates of order n = deg Q are tried, each by
+    caller has run it already on F and passes its result as ``regular``.
+    F is identified as given: a caller that wants Tietze moves first calls
+    ``simplify``.  Only candidates of order n = deg Q are tried, each by
     ``perm.find_isomorphism`` from Q on its generators, the generators'
     permutations; Q's element list is built only when such a candidate
     exists.
@@ -647,10 +646,9 @@ def identify_finite(
     candidate, so with |F| = n = |candidate| that homomorphism is an
     isomorphism.
     """
-    Fs = simplify(F) if presimplify else F
     if regular is None:
         try:
-            regular = regular_representation(Fs, max_cosets)
+            regular = regular_representation(F, max_cosets)
         except CosetLimitExceeded:
             return IdentificationResult(status=INCONCLUSIVE)
     Q, gens = regular
@@ -663,7 +661,7 @@ def identify_finite(
             continue
         witness = tuple(map(iso, gens))
         ident = cand.identity
-        if any(_evaluate_word(r, witness, ident) != ident for r in Fs.relators):
+        if any(_evaluate_word(r, witness, ident) != ident for r in F.relators):
             raise CertificateError("witness does not satisfy the relators")
         if cand.subgroup_from_generators(witness).order != cand.order:
             raise CertificateError("witness does not generate the candidate")

@@ -783,13 +783,16 @@ class Subgroup:
         return tuple(closure.gens)
 
     def as_group(self, name: Optional[str] = None) -> PermGroup:
-        """The subgroup as a standalone PermGroup on the same points."""
-        return PermGroup(
+        """The subgroup as a standalone PermGroup on the same points, on its
+        greedy generating set, handed its members as its sorted element list."""
+        group = PermGroup(
             self.parent.degree,
             self.generating_set(),
             name=name,
             max_order=self.parent.max_order,
         )
+        group._elements = self.members
+        return group
 
 
 class GroupHom:
@@ -939,44 +942,34 @@ def find_isomorphism(
     The search maps ``gens``, elements that generate G (by default
     ``G.small_generating_set()``), to the first images in product order
     over H's sorted elements that define one.  Between groups of equal
-    order every surjection is one.  It keeps the orders of generators and
-    pair products: ``search_generator_images`` checks both."""
+    order every surjection is one.  Images keep the orders of generators
+    and of pair products."""
     if G.order != H.order or G.order_profile() != H.order_profile():
         return None
-    return _first_surjection(G, H, int.__eq__, pair_orders=True, gens=gens)
+    return _first_surjection(G, H, int.__eq__, gens)
 
 
 def find_surjection(G: PermGroup, H: PermGroup) -> Optional[GroupHom]:
     """A surjective homomorphism G -> H, or None."""
     if G.order % H.order != 0:
         return None
-    return _first_surjection(G, H, lambda a, b: a % b == 0, pair_orders=False)
+    return _first_surjection(G, H, lambda a, b: a % b == 0)
 
 
 def _first_surjection(
     G: PermGroup,
     H: PermGroup,
     fits: Callable[[int, int], bool],
-    pair_orders: bool,
     gens: Optional[Sequence[Perm]] = None,
 ) -> Optional[GroupHom]:
-    """The first surjection G -> H that ``extend_generator_map`` accepts; g
-    in ``gens`` (by default G.small_generating_set()) goes to an element of
-    an order b with ``fits(order of g, b)``, and with ``pair_orders`` g_i * g_d
-    keeps its order."""
+    """The first surjection G -> H that ``extend_generator_map`` accepts,
+    among the images ``search_generator_images`` proposes for ``gens`` (by
+    default G.small_generating_set()) under ``fits``."""
     gens = G.small_generating_set() if gens is None else tuple(gens)
-    cands = [
-        [h for h, b in zip(H.elements, H.element_orders) if fits(a, b)]
-        for a in map(Perm.order, gens)
-    ]
-    checks = [
-        [((i + 1, d + 1), (gens[i] * g).order()) for i in range(d) if pair_orders]
-        for d, g in enumerate(gens)
-    ]
     presented = G  # G's own Cayley table when G is presented on that set
     if gens != G.generators:
         presented = PermGroup(G.degree, gens, max_order=G.max_order)
-    for images in search_generator_images(H, cands, checks):
+    for images in search_generator_images(gens, H, fits):
         fmap = extend_generator_map(presented, images, H.identity)
         if fmap is not None:
             return GroupHom(G, H, [fmap[g] for g in G.generators], _map=fmap)
@@ -984,48 +977,44 @@ def _first_surjection(
 
 
 def search_generator_images(
-    H: PermGroup,
-    candidates: Sequence[Sequence[Perm]],
-    checks: Sequence[Sequence[tuple[tuple[int, ...], int]]],
+    gens: Sequence[Perm], H: PermGroup, fits: Callable[[int, int], bool]
 ) -> Iterator[tuple[Perm, ...]]:
     """The one search for generator images: the tuples that generate H,
-    by backtracking in product order (Holt, Eick and O'Brien, Handbook of
-    Computational Group Theory, §4).
+    by backtracking in product order over H's sorted elements (Holt, Eick
+    and O'Brien, Handbook of Computational Group Theory, §4).
 
-    Image d comes from ``candidates[d]`` in list order; once it is set,
-    each check ``(word, m)`` in ``checks[d]`` must hold: the word's image
-    has order exactly m.  A word is a tuple of positive letters i, for
-    generator i (1-based), on generators 1..d+1; ``find_isomorphism`` checks
-    the pair products g_i * g_(d+1).  With checks that every witness
-    passes, a caller's acceptance test meets the same first witness as on
-    an ``itertools.product`` scan.  Words run on positions in H's sorted
-    element list, each product computed once.
+    The image of g_d in ``gens`` has an order b with ``fits(a, b)``, a the
+    order of g_d, and once it is set the image of each pair product
+    g_i * g_d (i < d) must fit that product's order the same way.  A
+    homomorphism divides every order and an isomorphism keeps it, so under
+    divisibility, or equality between groups of one order profile, every
+    witness passes and a caller's acceptance test meets the same first
+    witness as on an ``itertools.product`` scan.  Pair products are taken
+    on positions in H's sorted element list, each computed once.
     """
-    els, index = H.elements, H.element_index
-    n, k, orders = len(els), len(candidates), H.element_orders
-    positions = [[index[h] for h in c] for c in candidates]
-    slot_checks = [[(tuple(x - 1 for x in w), m) for w, m in c] for c in checks]
+    els, index, orders = H.elements, H.element_index, H.element_orders
+    n, k = len(els), len(gens)
+    positions = [
+        [i for i, b in enumerate(orders) if fits(a, b)] for a in map(Perm.order, gens)
+    ]
+    pairs = [[(i, (gens[i] * g).order()) for i in range(d)] for d, g in enumerate(gens)]
     products: dict[int, int] = {}
     slots = [0] * k
 
-    def holds(word: tuple[int, ...], m: int) -> bool:
-        acc = slots[word[0]]
-        for x in word[1:]:
-            b = slots[x]
-            key = acc * n + b
-            if key not in products:
-                products[key] = index[els[acc] * els[b]]
-            acc = products[key]
-        return orders[acc] == m
+    def holds(i: int, d: int, m: int) -> bool:  # the image of g_i * g_d fits m
+        key = slots[i] * n + slots[d]
+        if key not in products:
+            products[key] = index[els[slots[i]] * els[slots[d]]]
+        return fits(m, orders[products[key]])
 
     def walk(d: int) -> Iterator[tuple[Perm, ...]]:
         if d == k:
-            gens = tuple(els[i] for i in slots)
-            if len(_Closure(H.identity, gens).members) == n:
-                yield gens
+            images = tuple(els[i] for i in slots)
+            if len(_Closure(H.identity, images).members) == n:
+                yield images
             return
         for slots[d] in positions[d]:
-            if all(holds(w, m) for w, m in slot_checks[d]):
+            if all(holds(i, d, m) for i, m in pairs[d]):
                 yield from walk(d + 1)
 
     return walk(0)

@@ -134,11 +134,9 @@ def _seeded_kernel(G: PermGroup, p: int, cochains: bool) -> Subgroup:
 
 def weyl_group(G: PermGroup, H: Subgroup) -> PermGroup:
     """N_G(H)/H, the Weyl group of a subgroup.  N_G(H) (from H's class walk)
-    is handed its sorted element list, on the generators ``as_group`` picks,
-    and H, closed already, is passed in as it is."""
-    N = G.normalizer(H)
-    NG = PermGroup(G.degree, N.generating_set(), max_order=G.max_order)
-    NG._elements = N.members
+    is a standalone group by ``as_group``, and H, closed already, is passed
+    in as it is."""
+    NG = G.normalizer(H).as_group()
     return NG.quotient(Subgroup(NG, H.members, _closed=True))
 
 
@@ -265,10 +263,9 @@ def galois_stmod(
 ) -> GaloisReport:
     """Galois group of the stable module category via the orbit nerve.
 
-    Requires p to divide |G| (otherwise the category is trivial and its
-    Galois groupoid empty: POrderError).  Presents the fundamental group
-    of the nerve of the reduced orbit category on the nontrivial
-    elementary abelian p-subgroups, built on its skeleton
+    Requires a prime p dividing |G| (``require_prime_divisor``).  Presents
+    the fundamental group of the nerve of the reduced orbit category on
+    the nontrivial elementary abelian p-subgroups, built on its skeleton
     (``orbit_nerve``), whose maximal objects give the maximal classes.
     One coset enumeration certifies the order and gives the group's
     regular representation (Inconclusive at the coset bound); only then
@@ -276,12 +273,7 @@ def galois_stmod(
     against it.  Every applicable special-case
     cross-check runs.
     """
-    _require_prime(p)
-    if G.order % p != 0:
-        raise POrderError(
-            f"prime {p} does not divide |G| = {G.order}: "
-            "the stable module category is zero and its Galois groupoid empty"
-        )
+    require_prime_divisor(G, p)
     modg = galois_modg(G, p)
     cat, components, F = orbit_nerve(G, G.elementary_abelian_p_subgroups(p))
     maximal = maximal_representatives(cat)
@@ -294,7 +286,7 @@ def galois_stmod(
     else:
         pool = stmod_candidates(G, modg, maximal, regular[0].degree)
         weyl = pool[-1]  # the pool ends with the Weyl group of maximal[-1]
-        ident = identify_finite(Fs, pool, presimplify=False, regular=regular)
+        ident = identify_finite(Fs, pool, regular=regular)
     report = GaloisReport(
         group_spec=G.name or f"<order {G.order}>",
         prime=p,
@@ -505,7 +497,7 @@ def van_kampen_pushout(
     named = order <= PUSHOUT_CANDIDATE_BOUND
     specs = standard_catalogue(order, exact=True) if named else []
     candidates = [catalogue_group(spec) for spec in specs]
-    ident = identify_finite(Ps, candidates, presimplify=False, regular=regular)
+    ident = identify_finite(Ps, candidates, regular=regular)
     return VanKampenReport(P, Ps, factors, ident)
 
 
@@ -552,6 +544,18 @@ def _amalgam_certificate(
         orders=(orders[0], orders[1], order_c),
         indices=(indices[0], indices[1]),
     )
+
+
+def require_prime_divisor(G: PermGroup, p: int) -> None:
+    """The check behind ``stmod`` and ``orbit-nerve``: ValueError unless p
+    is prime, and POrderError unless p divides |G|, since otherwise the
+    stable module category is zero and its Galois groupoid empty."""
+    _require_prime(p)
+    if G.order % p != 0:
+        raise POrderError(
+            f"prime {p} does not divide |G| = {G.order}: "
+            "the stable module category is zero and its Galois groupoid empty"
+        )
 
 
 def _require_prime(p: int) -> None:

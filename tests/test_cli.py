@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from galcalc import catalogue
+from galcalc import catalogue, selftest
 from galcalc.cli import main
 
 
@@ -209,6 +209,52 @@ def test_selftest_command(capsys):
     assert code == 0
     assert out.count("ok ") == 7
     assert "FAIL" not in out
+
+
+def test_selftest_reports_a_failed_suite(capsys, monkeypatch):
+    monkeypatch.setattr(selftest, "coset_enumeration", lambda F: 0)
+    code, out, _ = run_cli(capsys, "selftest")
+    assert code == 1
+    assert "FAIL fp-group" in out.splitlines()
+    assert out.count("ok ") == 6
+
+
+# each command's positional arguments ("ALGEBRA" is a file) and the
+# options its handler reads
+COMMANDS = {
+    "modg": (["S3", "-p", "2"], {"--format", "--max-order"}),
+    "cochains": (["S3", "-p", "2"], {"--format", "--max-order"}),
+    "stmod": (["S3", "-p", "3"], {"--format", "--max-order", "--max-cosets"}),
+    "hom": (["C2", "S3"], {"--format", "--max-order"}),
+    "torsors": (["C2", "S3"], {"--format", "--max-order"}),
+    "orbit-nerve": (["S3", "-p", "3"], {"--format", "--max-order"}),
+    "stone": (["ALGEBRA"], {"--format"}),
+    "pushout": (["fp:1:", "fp:1:", "fp:0:", "aa", "1"], {"--format", "--max-cosets"}),
+    "selftest": ([], set()),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_commands_take_only_the_options_they_read(capsys, tmp_path, command):
+    algebra = tmp_path / "algebra.json"
+    algebra.write_text(json.dumps({"atoms": ["x", "y"]}))
+    positional, read = COMMANDS[command]
+    args = [str(algebra) if a == "ALGEBRA" else a for a in positional]
+    for option, value in [("--format", "json"), ("--max-order", "100"), ("--max-cosets", "1000")]:
+        code, _, err = run_cli(capsys, command, *args, option, value)
+        if option in read:
+            assert code == 0, (command, option, err)
+        else:
+            assert code == 2 and "unrecognized arguments" in err, (command, option)
+
+
+@pytest.mark.parametrize("command", ["stmod", "orbit-nerve"])
+@pytest.mark.parametrize("p", ["4", "1", "0"])
+def test_non_prime_is_a_usage_error(capsys, command, p):
+    code, out, err = run_cli(capsys, command, "S4", "-p", p)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: {p} is not prime"]
 
 
 def test_json_deterministic_across_processes():

@@ -54,7 +54,7 @@ def enumerated_answer(left, right):
             for spec in standard_catalogue(order)
             if catalogue_group(spec).order == order
         ]
-    r = identify_finite(Ps, candidates, presimplify=False, regular=regular)
+    r = identify_finite(Ps, candidates, regular=regular)
     return (r.status, r.match_name, r.certified_order)
 
 

@@ -427,3 +427,14 @@ def test_subgroup_validation():
     r = next(g for g in S3.elements if g.order() == 3)
     with pytest.raises(ValueError):
         S3.subgroup([S3.identity, r])
+
+
+def test_as_group_is_handed_its_members():
+    # the subgroup's members, sorted already, are the new group's element
+    # list at once, and a fresh closure of its generators lists the same
+    S4 = catalogue_group("S4")
+    for H in [S4.sylow_subgroup(2), S4.center(), S4.full_subgroup()]:
+        G = H.as_group("named")
+        assert G._elements == H.members and G.name == "named"
+        fresh = PermGroup(S4.degree, G.generators)
+        assert G.elements == fresh.elements and G.cayley_table() == fresh.cayley_table()

@@ -58,8 +58,8 @@ def test_certified_order_pool_matches_full_pool(spec, p):
     order = regular[0].degree
     pool = stmod_candidates(G, modg, maximal, order)
     assert {c.order for c in pool[1 : -len(maximal) - 1]} <= {order}
-    ident = identify_finite(Fs, pool, presimplify=False, regular=regular)
-    oracle = identify_finite(Fs, full_pool(G, modg, maximal), presimplify=False)
+    ident = identify_finite(Fs, pool, regular=regular)
+    oracle = identify_finite(Fs, full_pool(G, modg, maximal))
     assert _key(ident) == _key(oracle), (spec, p)
     assert ident.status == "Identified", (spec, p)
 

@@ -133,8 +133,8 @@ def test_skeletal_nerve_matches_full_nerve(spec, p):
     order = coset_enumeration(Fs)
     assert order == coset_enumeration(F_full_s)
     pool = stmod_candidates(G, galois_modg(G, p), least, order)
-    ident = identify_finite(Fs, pool, presimplify=False)
-    ident_full = identify_finite(F_full_s, pool, presimplify=False)
+    ident = identify_finite(Fs, pool)
+    ident_full = identify_finite(F_full_s, pool)
     assert ident.status == ident_full.status == "Identified", (spec, p)
     assert ident.match_name == ident_full.match_name, (spec, p)
 

@@ -129,9 +129,9 @@ def recorded_calls(monkeypatch, run):
     ``identify_finite`` call ``run`` makes through the pipelines."""
     calls = []
 
-    def record(F, candidates, presimplify=True, regular=None, **kwargs):
-        assert not presimplify and regular is not None
-        result = identify_finite(F, candidates, presimplify=False, regular=regular, **kwargs)
+    def record(F, candidates, regular=None, **kwargs):
+        assert regular is not None
+        result = identify_finite(F, candidates, regular=regular, **kwargs)
         calls.append((F, list(candidates), regular, result))
         return result
 
@@ -205,9 +205,9 @@ def test_random_presentations_match_oracle(relators):
     except CosetLimitExceeded:
         return
     for H in UP_TO_12:
-        result = identify_finite(F, [H], presimplify=False, regular=regular)
+        result = identify_finite(F, [H], regular=regular)
         assert_matches_oracle(F, [H], regular, result)
-    result = identify_finite(F, UP_TO_12, presimplify=False, regular=regular)
+    result = identify_finite(F, UP_TO_12, regular=regular)
     assert_matches_oracle(F, UP_TO_12, regular, result)
 
 
