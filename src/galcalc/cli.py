@@ -197,26 +197,44 @@ def _cmd_orbit_nerve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# the integer tables of an algebra file, in from_tables order, each with
+# its nesting depth: 0 an integer, 1 a list of them, 2 a list of lists
+ALGEBRA_TABLES = {"size": 0, "meet": 2, "join": 2, "complement": 1, "bottom": 0, "top": 0}
+NESTED_INTS = ("an integer", "a list of integers", "a list of lists of integers")
+
+
+def _nested_ints(value: object, depth: int) -> bool:
+    if depth == 0:
+        return type(value) is int
+    return type(value) is list and all(_nested_ints(v, depth - 1) for v in value)
+
+
+def _algebra(data: object) -> BooleanAlgebra:
+    """The Boolean algebra of an algebra file: a JSON object with a list of
+    scalar atom labels under "atoms", or else ``ALGEBRA_TABLES``.  A file of
+    any other shape raises ParseError naming the fault."""
+    if not isinstance(data, dict):
+        raise ParseError("bad algebra file: the top level is not a JSON object")
+    if "atoms" in data:
+        atoms = data["atoms"]
+        if not isinstance(atoms, list) or any(isinstance(a, (list, dict)) for a in atoms):
+            raise ParseError("bad algebra file: 'atoms' is not a list of scalar labels")
+        return BooleanAlgebra.powerset(atoms)
+    for key, depth in ALGEBRA_TABLES.items():
+        if key not in data:
+            raise ParseError(f"bad algebra file: missing {key!r}")
+        if not _nested_ints(data[key], depth):
+            raise ParseError(f"bad algebra file: {key!r} is not {NESTED_INTS[depth]}")
+    return BooleanAlgebra.from_tables(*(data[key] for key in ALGEBRA_TABLES))
+
+
 def _cmd_stone(args: argparse.Namespace) -> int:
     try:
         with open(args.algebra_file, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read algebra file: {exc}") from exc
-    if "atoms" in data:
-        B = BooleanAlgebra.powerset(data["atoms"])
-    else:
-        try:
-            B = BooleanAlgebra.from_tables(
-                int(data["size"]),
-                data["meet"],
-                data["join"],
-                data["complement"],
-                int(data["bottom"]),
-                int(data["top"]),
-            )
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"bad algebra file: missing {exc}") from exc
+    B = _algebra(data)
     atoms = spectrum(B)
     decomps = idempotent_decompositions(B)
     payload = {

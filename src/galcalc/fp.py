@@ -504,9 +504,7 @@ class _GenResolver:
             self.rep[rx] = 0
             return True
         if rx == ry:
-            if sx == -sy:
-                return False  # tautology x x^-1
-            # x^2 = e: not an elimination; leave as a relator
+            # x x^-1 = e is a tautology and x^2 = e eliminates nothing
             return False
         hi, lo = (rx, ry) if rx > ry else (ry, rx)
         # relation reads (sx rx)(sy ry) = e -> hi := lo^(-sx*sy)

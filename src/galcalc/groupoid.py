@@ -38,12 +38,13 @@ class FinGroupoid(FinCategory):
         self._check_invertible()
 
     def _check_invertible(self) -> None:
-        # one pass over the table: i is invertible iff j o i, i o j are ids
-        ids = self.identity_of
+        # one pass over the table, which checks every composite as it is
+        # built: i is invertible iff j o i, i o j are ids
+        ids, table = self.identity_of, self.compose_table
         invertible = [False] * len(self.morphisms)
-        for (j, i), k in self.compose_table.items():
+        for (j, i), k in table.items():
             m = self.morphisms[i]
-            if k == ids[m.src] and self.compose_table.get((i, j)) == ids[m.dst]:
+            if k == ids[m.src] and table.get((i, j)) == ids[m.dst]:
                 invertible[i] = True
         for i, ok in enumerate(invertible):
             if not ok:
@@ -56,12 +57,9 @@ def delooping(G: PermGroup) -> FinGroupoid:
         raise SizeError(f"delooping bound {DELOOPING_BOUND} exceeded")
     els, index = G.elements, G.element_index
     morphisms = [Morphism(0, 0, g) for g in els]
-    table = {
-        (j, i): index[els[j] * els[i]]
-        for i in range(len(els))
-        for j in range(len(els))
-    }
-    return FinGroupoid([0], morphisms, [index[G.identity]], table)
+    return FinGroupoid(
+        [0], morphisms, [index[G.identity]], lambda h, g: index[els[h] * els[g]]
+    )
 
 
 def disjoint_union(*pieces: FinGroupoid) -> FinGroupoid:
@@ -69,19 +67,25 @@ def disjoint_union(*pieces: FinGroupoid) -> FinGroupoid:
     objects: list[Hashable] = []
     morphisms: list[Morphism] = []
     identity_of: list[int] = []
-    table: dict[tuple[int, int], int] = {}
+    offsets: list[int] = []  # the index of each piece's first morphism
     for pi, X in enumerate(pieces):
         obj_off = len(objects)
-        mor_off = len(morphisms)
+        offsets.append(len(morphisms))
         objects.extend((pi, o) for o in X.objects)
         morphisms.extend(
             Morphism(m.src + obj_off, m.dst + obj_off, (pi, m.label))
             for m in X.morphisms
         )
-        identity_of.extend(mi + mor_off for mi in X.identity_of)
-        for (g, f), h in X.compose_table.items():
-            table[(g + mor_off, f + mor_off)] = h + mor_off
-    return FinGroupoid(objects, morphisms, identity_of, table)
+        identity_of.extend(mi + offsets[pi] for mi in X.identity_of)
+
+    def compose(g: int, f: int) -> int:  # within piece pi, at its offset
+        pi = morphisms[f].label[0]
+        if morphisms[g].label[0] != pi:
+            raise KeyError((g, f))
+        off = offsets[pi]
+        return off + pieces[pi].compose(g - off, f - off)
+
+    return FinGroupoid(objects, morphisms, identity_of, compose)
 
 
 def action_groupoid(X: GSet) -> FinGroupoid:
@@ -96,13 +100,14 @@ def action_groupoid(X: GSet) -> FinGroupoid:
             mindex[(gi, x)] = len(morphisms)
             morphisms.append(Morphism(x, X.act(g, x), (g, x)))
     identity_of = [mindex[(eindex[G.identity], x)] for x in range(n)]
-    table = {}
-    for (gi, x), f in mindex.items():
-        mid = X.act(els[gi], x)
-        for (hi, x2), s in mindex.items():
-            if x2 == mid:
-                table[(s, f)] = mindex[(eindex[els[hi] * els[gi]], x)]
-    return FinGroupoid(list(range(n)), morphisms, identity_of, table)
+
+    def compose(s: int, f: int) -> int:  # (g, x), then (h, g x): (h g, x)
+        (g, x), (h, y) = morphisms[f].label, morphisms[s].label
+        if y != morphisms[f].dst:
+            raise KeyError((s, f))
+        return mindex[(eindex[h * g], x)]
+
+    return FinGroupoid(list(range(n)), morphisms, identity_of, compose)
 
 
 def pi0(X: FinCategory) -> list[list[Hashable]]:
@@ -213,18 +218,15 @@ def hom_groupoid_bruteforce(G: PermGroup, H: PermGroup) -> FinGroupoid:
             mindex[(fi, x)] = len(morphisms)
             morphisms.append(Morphism(fi, ti, (fi, x)))
     identity_of = [mindex[(fi, H.identity)] for fi in range(len(homs))]
-    table = {}
-    for (fi, x), mor_f in mindex.items():
-        mid = morphisms[mor_f].dst
-        for y in H.elements:
-            mor_g = mindex[(mid, y)]
-            table[(mor_g, mor_f)] = mindex[(fi, y * x)]
+
+    def compose(s: int, f: int) -> int:  # (fi, x), then (x f x^-1, y): (fi, y x)
+        (fi, x), (gi, y) = morphisms[f].label, morphisms[s].label
+        if gi != morphisms[f].dst:
+            raise KeyError((s, f))
+        return mindex[(fi, y * x)]
+
     return FinGroupoid(
-        list(range(len(homs))),
-        morphisms,
-        identity_of,
-        table,
-        object_info=homs,
+        list(range(len(homs))), morphisms, identity_of, compose, object_info=homs
     )
 
 

@@ -1,13 +1,13 @@
 """Finite categories, orbit categories, and fundamental groups of nerves.
 
-A FinCategory stores its objects, morphisms, and a total composition
-table on composable pairs, or a function called on demand that
-composes two morphisms.  Orbit categories O_A(G) have one object G/H
-per subgroup H in a conjugation- and intersection-closed family A, with
-hom(G/H, G/K) = {gK : g^-1 H g <= K}.  Since G/H and G/K are isomorphic
-exactly when H and K are conjugate, the skeleton on one representative
-per conjugacy class (``conjugacy_class_representatives``) is equivalent
-to the full orbit category, and equivalent categories have
+A FinCategory stores its objects, its morphisms and one function that
+composes two of them on demand; the table of composites is built, and
+each composite checked, only on request.  Orbit categories O_A(G) have
+one object G/H per subgroup H in a conjugation- and intersection-closed
+family A, with hom(G/H, G/K) = {gK : g^-1 H g <= K}.  Since G/H and G/K
+are isomorphic exactly when H and K are conjugate, the skeleton on one
+representative per conjugacy class (``conjugacy_class_representatives``)
+is equivalent to the full orbit category, and equivalent categories have
 homotopy-equivalent nerves; the stable module pipeline builds only the
 skeleton.  Its family, the nontrivial elementary abelian p-subgroups,
 needs no closure: a conjugate of one is one, and so is a nontrivial
@@ -15,18 +15,17 @@ intersection of two, being a subgroup of either.  ``close_family``
 closes any other seed.  Each object K's class is walked once
 (``Subgroup.class_walk``), and hom(G/H, G/K) is read off the conjugates
 of K that hold H, with no product per coset; a composite costs one
-product, made only when asked.  The fundamental group of
-the nerve is presented on a greedy generating set S of morphisms, each
-morphism written as a word in S: one relation per generator s and
-non-identity morphism into src(s), and one trivializing relation per
-edge of a spanning tree of the generator edges.  It is the same group
-as the edge-path presentation with one generator per morphism and one
-relation per composable pair.
+product, made only when asked.  The fundamental group of the nerve is
+presented on a greedy generating set S of morphisms, each morphism
+written as a word in S: one relation per generator s and non-identity
+morphism into src(s), and one trivializing relation per edge of a
+spanning tree of the generator edges.  It is the same group as the
+edge-path presentation with one generator per morphism and one relation
+per composable pair.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
@@ -35,6 +34,7 @@ from .fp import FpGroup, Word, inverse_word
 from .perm import PermGroup, Subgroup
 
 MAX_FAMILY = 4096
+NOT_TOTAL = "composition not total on composable pairs"
 
 
 @dataclass(frozen=True)
@@ -45,14 +45,14 @@ class Morphism:
 
 
 class FinCategory:
-    """A finite category, composed by an explicit table or on demand.
+    """A finite category, composed on demand.
 
-    Objects are sortable hashable labels; morphisms are indexed.  Either
-    ``compose_table`` maps (g_index, f_index) -> (g o f)_index for every
-    pair with dst(f) = src(g), or ``composite(g, f)`` returns that index
-    when asked, raising KeyError when dst(f) != src(g), and the table is
-    built only on request (orbit categories compose so).  ``compose(g,
-    f)`` is the one or the other.  ``object_info`` carries optional
+    Objects are sortable hashable labels; morphisms are indexed, and
+    ``compose(g, f)`` returns the index of g o f, f acting first, for
+    every pair with dst(f) = src(g); the builders here raise KeyError on
+    any other pair.  ``compose_table`` tabulates it only on request
+    (groupoids ask at construction, orbit categories never), and that one
+    tabulation checks every composite.  ``object_info`` carries optional
     payload data per object (orbit categories store the subgroup there).
     """
 
@@ -61,18 +61,14 @@ class FinCategory:
         objects: Sequence[Hashable],
         morphisms: Sequence[Morphism],
         identity_of: Sequence[int],
-        compose_table: Optional[dict[tuple[int, int], int]] = None,
+        compose: Callable[[int, int], int],
         object_info: Optional[Sequence[object]] = None,
-        composite: Optional[Callable[[int, int], int]] = None,
     ):
-        if (compose_table is None) == (composite is None):
-            raise ValueError("need one of a composition table or a composite")
         self.objects = tuple(objects)
         self.morphisms = tuple(morphisms)
         self.identity_of = tuple(identity_of)
-        self._table = None if compose_table is None else dict(compose_table)
-        # the index of g o f, f acting first; KeyError when dst(f) != src(g)
-        self.compose: Callable[[int, int], int] = composite or self._lookup
+        self.compose = compose
+        self._table: Optional[dict[tuple[int, int], int]] = None
         self.object_info = tuple(object_info) if object_info is not None else None
         self._check_basic()
 
@@ -89,66 +85,55 @@ class FinCategory:
         for m in self.morphisms:
             if not (0 <= m.src < n and 0 <= m.dst < n):
                 raise ValueError("morphism endpoint out of range")
-        if self._table is not None:
-            nm = len(self.morphisms)
-            for (g, f), h in self._table.items():
-                if not (0 <= f < nm and 0 <= g < nm and 0 <= h < nm):
-                    raise ValueError("composition table index out of range")
-                mf, mg, mh = self.morphisms[f], self.morphisms[g], self.morphisms[h]
-                if mf.dst != mg.src or mh.src != mf.src or mh.dst != mg.dst:
-                    raise ValueError("composition table violates source/target")
-            # keys are distinct composable pairs: total iff one per f and g from dst(f)
-            outs = Counter(m.src for m in self.morphisms)
-            if len(self._table) != sum(outs[m.dst] for m in self.morphisms):
-                raise ValueError("composition table not total on composable pairs")
-        for f, mf in enumerate(self.morphisms):
-            if self.compose(self.identity_of[mf.dst], f) != f:
-                raise ValueError("left unit law fails")
-            if self.compose(f, self.identity_of[mf.src]) != f:
-                raise ValueError("right unit law fails")
+        try:
+            for f, mf in enumerate(self.morphisms):
+                if self.compose(self.identity_of[mf.dst], f) != f:
+                    raise ValueError("left unit law fails")
+                if self.compose(f, self.identity_of[mf.src]) != f:
+                    raise ValueError("right unit law fails")
+        except LookupError:
+            raise ValueError(NOT_TOTAL) from None
 
     @property
     def compose_table(self) -> dict[tuple[int, int], int]:
-        """(g, f) -> g o f on every composable pair, built on first request."""
+        """(g, f) -> g o f on every composable pair, built on first request.
+
+        Raises ValueError when a composable pair has no composite (compose
+        raises LookupError) or one out of range or with the wrong ends."""
         if self._table is None:
+            ms = self.morphisms
             out_of: list[list[int]] = [[] for _ in self.objects]
-            for g, m in enumerate(self.morphisms):
+            for g, m in enumerate(ms):
                 out_of[m.src].append(g)
-            self._table = {
-                (g, f): self.compose(g, f)
-                for f, m in enumerate(self.morphisms)
-                for g in out_of[m.dst]
-            }
+            table = {}
+            for f, mf in enumerate(ms):
+                for g in out_of[mf.dst]:
+                    try:
+                        h = self.compose(g, f)
+                    except LookupError:
+                        raise ValueError(NOT_TOTAL) from None
+                    if h not in range(len(ms)):
+                        raise ValueError("composite index out of range")
+                    if ms[h].src != mf.src or ms[h].dst != ms[g].dst:
+                        raise ValueError("composite violates source/target")
+                    table[(g, f)] = h
+            self._table = table
         return self._table
 
-    def _lookup(self, g: int, f: int) -> int:
-        return self._table[(g, f)]
-
     def is_identity_morphism(self, i: int) -> bool:
-        return self.identity_of[self.morphisms[i].src] == i and (
-            self.morphisms[i].src == self.morphisms[i].dst
-        )
+        return self.identity_of[self.morphisms[i].src] == i
 
     def hom(self, x: int, y: int) -> list[int]:
-        return [
-            i
-            for i, m in enumerate(self.morphisms)
-            if m.src == x and m.dst == y
-        ]
+        return [i for i, m in enumerate(self.morphisms) if m.src == x and m.dst == y]
 
     def validate(self) -> None:
-        """Exhaustively check associativity; the unit laws are checked on
-        construction."""
-        for f, mf in enumerate(self.morphisms):
-            for g, mg in enumerate(self.morphisms):
-                if mf.dst != mg.src:
-                    continue
-                gf = self.compose(g, f)
-                for h, mh in enumerate(self.morphisms):
-                    if mg.dst != mh.src:
-                        continue
-                    if self.compose(h, gf) != self.compose(self.compose(h, g), f):
-                        raise ValueError("associativity fails")
+        """Check every composite (``compose_table``) and, exhaustively,
+        associativity; the unit laws are checked on construction."""
+        table, ms = self.compose_table, self.morphisms
+        for (g, f), gf in table.items():
+            for h, mh in enumerate(ms):
+                if mh.src == ms[g].dst and table[(h, gf)] != table[(table[(h, g)], f)]:
+                    raise ValueError("associativity fails")
 
     def to_json(self) -> dict:
         """Schema: objects, morphisms with (src, dst), composition table.
@@ -215,12 +200,14 @@ def category_from_poset(
     mindex = {p: k for k, p in enumerate(pairs)}
     morphisms = [Morphism(i, j, (labels[i], labels[j])) for i, j in pairs]
     identity_of = [mindex[(i, i)] for i in range(len(labels))]
-    table = {}
-    for f, (i, j) in enumerate(pairs):
-        for g, (j2, k) in enumerate(pairs):
-            if j == j2:
-                table[(g, f)] = mindex[(i, k)]
-    return FinCategory(labels, morphisms, identity_of, table)
+
+    def compose(g: int, f: int) -> int:  # x <= y, then y <= z: x <= z
+        (i, j), (k, l) = pairs[f], pairs[g]
+        if j != k:
+            raise KeyError((g, f))
+        return mindex[(i, l)]
+
+    return FinCategory(labels, morphisms, identity_of, compose)
 
 
 # -- subgroup families ------------------------------------------------------
@@ -310,9 +297,7 @@ def orbit_category(G: PermGroup, subs: Sequence[Subgroup]) -> FinCategory:
             raise KeyError((s, f))
         return mor_index[(i, l, coset_index[l][g * h])]
 
-    return FinCategory(
-        range(len(subs)), morphisms, identity_of, object_info=subs, composite=composite
-    )
+    return FinCategory(range(len(subs)), morphisms, identity_of, composite, subs)
 
 
 # -- nerve invariants ---------------------------------------------------------

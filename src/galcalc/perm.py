@@ -332,17 +332,30 @@ class PermGroup:
 
     # -- subgroup machinery -------------------------------------------------
 
+    def bits_of(self, members: Iterable[Perm]) -> int:
+        """The bitset of some elements: bit i for the element at position i."""
+        buf = bytearray(self.order // 8 + 1)
+        for i in map(self.element_index.__getitem__, members):
+            buf[i >> 3] |= 1 << (i & 7)
+        return int.from_bytes(buf, "little")
+
     def subgroup(self, members: Iterable[Perm]) -> "Subgroup":
-        return Subgroup(self, members)
+        """The subgroup with these members, or ValueError unless their closure
+        by Dimino's algorithm, stopped past their count, is the members."""
+        mset = set(members)
+        with contextlib.suppress(SizeError, KeyError):  # outgrew them, or left G
+            if _Closure(self.identity, mset, limit=len(mset)).members == mset:
+                return Subgroup(self, self.bits_of(mset))
+        raise ValueError("member set is not a subgroup")
 
     def subgroup_from_generators(self, gens: Iterable[Perm]) -> "Subgroup":
-        return Subgroup(self, _Closure(self.identity, gens).members, _closed=True)
+        return Subgroup(self, self.bits_of(_Closure(self.identity, gens).members))
 
     def trivial_subgroup(self) -> "Subgroup":
-        return Subgroup(self, [self.identity], _closed=True)
+        return Subgroup(self, 1)  # the identity is at position 0
 
     def full_subgroup(self) -> "Subgroup":
-        return Subgroup._of_bits(self, (1 << self.order) - 1)
+        return Subgroup(self, (1 << self.order) - 1)
 
     def order_p_elements(self, p: int) -> tuple[Perm, ...]:
         """All elements of order exactly p, in sorted order.
@@ -387,7 +400,7 @@ class PermGroup:
             for s in more(len(N.members)):
                 N.add(s)
             whole = close(start)
-        return self.full_subgroup() if whole else Subgroup(self, N.members, _closed=True)
+        return self.full_subgroup() if whole else Subgroup(self, self.bits_of(N.members))
 
     def _subgroup_where(self, holds: Callable[[Perm], bool]) -> "Subgroup":
         """The elements g with ``holds(g)``, which must form a subgroup P.  With
@@ -403,7 +416,7 @@ class PermGroup:
                 S.add(g)
             else:
                 ruled_out.update(_right_coset(S.members, g))
-        return Subgroup(self, S.members, _closed=True)
+        return Subgroup(self, self.bits_of(S.members))
 
     def centralizer(self, elems: Iterable[Perm]) -> "Subgroup":
         targets = list(elems)
@@ -414,7 +427,7 @@ class PermGroup:
         bits = (1 << self.order) - 1
         for table in map(self.conjugation_table, self.generators):
             bits &= sum(1 << i for i, j in enumerate(table) if i == j)
-        return Subgroup._of_bits(self, bits)
+        return Subgroup(self, bits)
 
     def normalizer(self, H: "Subgroup") -> "Subgroup":
         """N(H), kept by this group: H closed by Dimino's algorithm with the
@@ -432,7 +445,7 @@ class PermGroup:
                 N.add(_compose(_compose(x[d].inverse(), g), x[c]))
             if len(N.members) != order:
                 raise CertificateError(f"|N(H)| = {len(N.members)}, not {order}")
-            self._normalizers[H] = Subgroup(self, N.members, _closed=True)
+            self._normalizers[H] = Subgroup(self, self.bits_of(N.members))
         return self._normalizers[H]
 
     def quotient(self, N: "Subgroup") -> "PermGroup":
@@ -532,7 +545,7 @@ class PermGroup:
                         cand &= ~K
                 while cand:
                     E = H.extended(els[(cand & -cand).bit_length() - 1])
-                    S = Subgroup(self, E.members, _closed=True)
+                    S = Subgroup(self, self.bits_of(E.members))
                     nxt.append((E, S.bits))
                     for C in S.class_walk()[0]:
                         family[C.bits] = C
@@ -562,7 +575,7 @@ class PermGroup:
                         break
             else:
                 raise CertificateError(f"Sylow search stuck at order {len(H.members)}")
-        return Subgroup(self, H.members, _closed=True)
+        return Subgroup(self, self.bits_of(H.members))
 
     def sylow_subgroups(self, p: int) -> list["Subgroup"]:
         """All Sylow p-subgroups: the conjugacy class of one."""
@@ -638,32 +651,13 @@ class _Closure:
 class Subgroup:
     """A subgroup of a PermGroup, stored as a bitset over the parent's
     sorted element list: bit i is set when the element at position i is
-    a member.  ``members`` lists them in that sorted order."""
+    a member.  ``members`` lists them in that sorted order.  The bits are
+    trusted; ``PermGroup.subgroup`` checks a member set."""
 
     __slots__ = ("parent", "bits", "_members")
 
-    def __init__(self, parent: PermGroup, members: Iterable[Perm], _closed: bool = False):
-        mset = set(members)
-        if not _closed:
-            if parent.identity not in mset:
-                raise ValueError("subgroup must contain the identity")
-            for a in mset:
-                if a.inverse() not in mset:
-                    raise ValueError("member set not closed under inverse")
-                for b in mset:
-                    if a * b not in mset:
-                        raise ValueError("member set not closed under product")
-        buf = bytearray(parent.order // 8 + 1)
-        for i in map(parent.element_index.__getitem__, mset):
-            buf[i >> 3] |= 1 << (i & 7)
-        self.parent, self._members = parent, None
-        self.bits = int.from_bytes(buf, "little")
-
-    @classmethod
-    def _of_bits(cls, parent: PermGroup, bits: int) -> "Subgroup":
-        out = cls.__new__(cls)
-        out.parent, out.bits, out._members = parent, bits, None
-        return out
+    def __init__(self, parent: PermGroup, bits: int):
+        self.parent, self.bits, self._members = parent, bits, None
 
     @property
     def members(self) -> tuple[Perm, ...]:
@@ -708,7 +702,7 @@ class Subgroup:
         """g H g^-1, by the parent's conjugation table of g."""
         table = self.parent.conjugation_table(g)
         bits = sum(1 << table[i] for i in _bit_positions(self.bits))
-        return Subgroup._of_bits(self.parent, bits)
+        return Subgroup(self.parent, bits)
 
     def class_walk(self) -> tuple[list["Subgroup"], list[Perm], list]:
         """The conjugacy class H = C_0, C_1, ... walked once by the parent's
@@ -731,7 +725,7 @@ class Subgroup:
                     bits = sum(1 << i for i in moved)
                     d = seen.setdefault(bits, len(out))
                     if d == len(out):
-                        out.append(Subgroup._of_bits(G, bits))
+                        out.append(Subgroup(G, bits))
                         x.append(_compose(g, x[c]))
                         where.append(moved)
                     else:
@@ -771,7 +765,7 @@ class Subgroup:
         return reps, index
 
     def intersection(self, other: "Subgroup") -> "Subgroup":
-        return Subgroup._of_bits(self.parent, self.bits & self._same_parent(other))
+        return Subgroup(self.parent, self.bits & self._same_parent(other))
 
     def generating_set(self) -> tuple[Perm, ...]:
         """Greedy generators: each member, in sorted order, not yet generated."""

@@ -137,7 +137,7 @@ def weyl_group(G: PermGroup, H: Subgroup) -> PermGroup:
     is a standalone group by ``as_group``, and H, closed already, is passed
     in as it is."""
     NG = G.normalizer(H).as_group()
-    return NG.quotient(Subgroup(NG, H.members, _closed=True))
+    return NG.quotient(Subgroup(NG, NG.bits_of(H.members)))
 
 
 def has_central_order_p(G: PermGroup, p: int) -> bool:

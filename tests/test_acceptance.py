@@ -171,7 +171,7 @@ def test_criterion_10_nerve_pi1_sanity():
         ms = [Morphism(0, 0, "ix"), Morphism(1, 1, "iy"),
               Morphism(0, 1, "a"), Morphism(0, 1, "b")]
         table = {(0, 0): 0, (1, 1): 1, (2, 0): 2, (1, 2): 2, (3, 0): 3, (1, 3): 3}
-        circle = FinCategory([0, 1], ms, [0, 1], table)
+        circle = FinCategory([0, 1], ms, [0, 1], lambda g, f: table[g, f])
         F = nerve_pi1_presentation(circle, 0)
         assert abelianization(simplify(F)) == [0]
 

@@ -123,6 +123,35 @@ def test_stone_tables_file(tmp_path, capsys):
     assert json.loads(out)["atom_count"] == 1
 
 
+TWO_TABLES = {
+    "size": 2, "meet": [[0, 0], [0, 1]], "join": [[0, 1], [1, 1]],
+    "complement": [1, 0], "bottom": 0, "top": 1,
+}
+
+
+@pytest.mark.parametrize(
+    "payload, fault",
+    [
+        (5, "the top level is not a JSON object"),
+        (None, "the top level is not a JSON object"),
+        ([1, 2], "the top level is not a JSON object"),
+        ("atoms", "the top level is not a JSON object"),
+        ({"atoms": 5}, "'atoms' is not a list of scalar labels"),
+        ({"atoms": [[1], [2]]}, "'atoms' is not a list of scalar labels"),
+        (dict(TWO_TABLES, meet=5), "'meet' is not a list of lists of integers"),
+        (dict(TWO_TABLES, complement=[1, "0"]), "'complement' is not a list of integers"),
+        (dict(TWO_TABLES, size=[2]), "'size' is not an integer"),
+        ({k: v for k, v in TWO_TABLES.items() if k != "top"}, "missing 'top'"),
+    ],
+)
+def test_stone_rejects_malformed_files(tmp_path, capsys, payload, fault):
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "stone", str(f))
+    assert code == 2 and out == ""
+    assert err == f"error: bad algebra file: {fault}\n"
+
+
 def test_pushout_command(capsys):
     code, out, _ = run_cli(capsys, "pushout", "fp:1:", "fp:1:", "fp:0:", "aa", "1")
     assert code == 0

@@ -54,7 +54,7 @@ def full_search(G, p):
                 cand &= commuting[x]
             while cand:
                 E = H.extended(G.elements[(cand & -cand).bit_length() - 1])
-                S = Subgroup(G, E.members, _closed=True)
+                S = Subgroup(G, G.bits_of(E.members))
                 cand &= ~S.bits
                 if S.bits not in found:
                     found[S.bits] = S

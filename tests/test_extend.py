@@ -299,31 +299,37 @@ def test_gset_with_empty_carrier():
     assert len(GSet.trivial(catalogue_group("C1"), 0)) == 0
 
 
+def _from_table(C, table):
+    return FinCategory(C.objects, C.morphisms, C.identity_of, lambda g, f: table[g, f])
+
+
 def test_check_basic_rejects_a_missing_composable_pair():
+    # a missing unit pair is caught by the unit-law checks at construction,
+    # any other by the tabulation in validate()
     C = delooping(catalogue_group("S3"))
     for key in (min(C.compose_table), max(C.compose_table)):
         table = dict(C.compose_table)
         del table[key]
         with pytest.raises(ValueError, match="not total"):
-            FinCategory(C.objects, C.morphisms, C.identity_of, table)
-    # a negative index must not stand in for the missing pair it aliases
+            _from_table(C, table).validate()
+    # a negative composite must not stand in for the morphism it aliases
     table = dict(C.compose_table)
-    g, f = max(table)
-    table[(g, f - len(C.morphisms))] = table.pop((g, f))
+    key = max(table)
+    table[key] -= len(C.morphisms)
     with pytest.raises(ValueError, match="out of range"):
-        FinCategory(C.objects, C.morphisms, C.identity_of, table)
+        _from_table(C, table).validate()
     P = category_from_poset([0, 1, 2], lambda x, y: x <= y)
     for key in P.compose_table:
         table = dict(P.compose_table)
         del table[key]
         with pytest.raises(ValueError, match="not total"):
-            FinCategory(P.objects, P.morphisms, P.identity_of, table)
+            _from_table(P, table).validate()
 
 
 def test_check_invertible_rejects_comparable_poset_objects():
     P = category_from_poset(["a", "b"], lambda x, y: x <= y)
     with pytest.raises(ValueError, match="has no inverse"):
-        FinGroupoid(P.objects, P.morphisms, P.identity_of, P.compose_table)
+        FinGroupoid(P.objects, P.morphisms, P.identity_of, P.compose)
     # an antichain is a groupoid: only identities
     Q = category_from_poset(["a", "b"], lambda x, y: x == y)
-    FinGroupoid(Q.objects, Q.morphisms, Q.identity_of, Q.compose_table)
+    FinGroupoid(Q.objects, Q.morphisms, Q.identity_of, Q.compose)

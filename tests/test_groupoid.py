@@ -41,7 +41,7 @@ def test_groupoid_invertibility_check():
     ms = [Morphism(0, 0, "e"), Morphism(0, 0, "n")]
     table = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 1}  # n absorbing
     with pytest.raises(ValueError):
-        FinGroupoid([0], ms, [0], table)
+        FinGroupoid([0], ms, [0], lambda g, f: table[g, f])
 
 
 def test_pi0_examples():
@@ -54,7 +54,7 @@ def test_pi0_examples():
     )
     U.validate()
     assert len(pi0(U)) == 3
-    empty = FinGroupoid([], [], [], {})
+    empty = FinGroupoid([], [], [], lambda g, f: 0)
     assert pi0(empty) == []
 
 
@@ -82,7 +82,8 @@ def test_pi1_contractible_groupoid():
         for (j2, k), g in idx.items():
             if j2 == j:
                 table[(g, f)] = idx[(i, k)]
-    X = FinGroupoid(list(range(n)), ms, [idx[(i, i)] for i in range(n)], table)
+    identities = [idx[(i, i)] for i in range(n)]
+    X = FinGroupoid(list(range(n)), ms, identities, lambda g, f: table[g, f])
     X.validate()
     assert pi1(X, 0).order == 1
 

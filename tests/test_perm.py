@@ -427,6 +427,10 @@ def test_subgroup_validation():
     r = next(g for g in S3.elements if g.order() == 3)
     with pytest.raises(ValueError):
         S3.subgroup([S3.identity, r])
+    # a subgroup, but of S3, not of A3
+    A3 = catalogue_group("A3")
+    with pytest.raises(ValueError):
+        A3.subgroup([A3.identity, t])
 
 
 def test_as_group_is_handed_its_members():
