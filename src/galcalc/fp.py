@@ -48,15 +48,11 @@ def inverse_word(word: Sequence[int]) -> Word:
 
 
 def cyclic_reduce(word: Sequence[int]) -> Word:
-    w = list(free_reduce(word))
-    while len(w) >= 2 and w[0] == -w[-1]:
-        w = w[1:-1]
-    return tuple(w)
-
-
-def _letter_codes(word: Word) -> tuple[int, ...]:
-    # positive letters sort before their inverses: a < A < b < B < ...
-    return tuple(2 * x if x > 0 else 1 - 2 * x for x in word)
+    w = free_reduce(word)
+    i, j = 0, len(w)
+    while j - i >= 2 and w[i] == -w[j - 1]:
+        i, j = i + 1, j - 1
+    return w[i:j]
 
 
 def canonical_relator(word: Sequence[int]) -> Word:
@@ -64,18 +60,27 @@ def canonical_relator(word: Sequence[int]) -> Word:
     letters ordered a < A < b < B < ...
 
     Rotations are compared as tuples of the letter codes 2x for x > 0 and
-    1 - 2x for x < 0, which order letters that way.  The least rotation
-    starts with the least code, so only those rotations are compared.
+    1 - 2x for x < 0, which order letters that way; the inverse's codes
+    are the word's reversed, each with its low bit flipped.  The least
+    rotation starts with the least code, that of the least generator, so
+    only those rotations are compared, and the one chosen is cut from the
+    word or its inverse itself.
     """
     w = cyclic_reduce(word)
     if not w:
         return ()
-    codes = (_letter_codes(w), _letter_codes(inverse_word(w)))
-    first = min(codes[0] + codes[1])
-    best = min(
-        c[k:] + c[:k] for c in codes for k in range(len(c)) if c[k] == first
-    )
-    return tuple(-(c >> 1) if c & 1 else c >> 1 for c in best)
+    codes = tuple(2 * x if x > 0 else 1 - 2 * x for x in w)
+    sides = (codes, tuple(c ^ 1 for c in reversed(codes)))
+    first = min(codes) & ~1
+    rotations = []
+    for side, c in enumerate(sides):
+        k = -1
+        for _ in range(c.count(first)):
+            k = c.index(first, k + 1)
+            rotations.append((c[k:] + c[:k], side, k))
+    _, side, k = min(rotations)
+    v = inverse_word(w) if side else w
+    return v[k:] + v[:k]
 
 
 def substitute(word: Sequence[int], replacements: dict[int, Word]) -> Word:
@@ -129,9 +134,9 @@ class FpGroup:
         reduced = []
         for r in self.relators:
             w = free_reduce(r)
-            if any(abs(x) > self.ngens for x in w):
-                raise ValueError(f"relator {r!r} uses generator out of range")
             if w:
+                if max(map(abs, w)) > self.ngens:
+                    raise ValueError(f"relator {r!r} uses generator out of range")
                 reduced.append(w)
         object.__setattr__(self, "relators", tuple(reduced))
 
@@ -511,6 +516,16 @@ class _GenResolver:
         self.rep[hi] = -sx * sy * lo
         return True
 
+    def images(self) -> list[int]:
+        """The image of each signed generator x at index x (a negative x
+        counts from the end): its signed root, or 0 if it dies."""
+        n = len(self.rep) - 1
+        out = [0] * (2 * n + 1)
+        for g in range(1, n + 1):
+            r = self.resolve(g)
+            out[g], out[-g] = r, -r
+        return out
+
 
 def simplify(F: FpGroup) -> FpGroup:
     """Reduce a presentation by safe Tietze moves.
@@ -520,42 +535,40 @@ def simplify(F: FpGroup) -> FpGroup:
     relators of length <= 2.  Eliminations are batched through a signed
     union-find so large presentations reduce in few passes.  The result
     presents an isomorphic group.
+
+    Relators are kept cyclically reduced, and only two kinds are put in
+    canonical form: those of length <= 2, which drive each pass's
+    eliminations in (length, canonical word) order, and the survivors,
+    once, at the end.  A canonical form is the same for every rotation
+    and the inverse of a cyclic word, and a substitution maps those to
+    rotations and the inverse of its image, so canonicalizing before a
+    rewrite or only after it gives the same words.
     """
     resolver = _GenResolver(F.ngens)
-    # a nerve presentation repeats raw words: canonicalize each distinct one once
-    relators = {canonical_relator(r) for r in dict.fromkeys(F.relators)} - {()}
+    # a nerve presentation repeats raw words: reduce each distinct one once
+    relators = set(map(cyclic_reduce, dict.fromkeys(F.relators))) - {()}
     while True:
         progress = False
-        for w in sorted(relators, key=lambda w: (len(w), w)):
+        short = {canonical_relator(w) for w in relators if len(w) <= 2}
+        for w in sorted(short, key=lambda w: (len(w), w)):
             if len(w) == 1:
-                progress |= resolver.kill(abs(w[0]))
-            elif len(w) == 2 and abs(w[0]) != abs(w[1]):
+                progress |= resolver.kill(w[0])
+            elif abs(w[0]) != abs(w[1]):
                 progress |= resolver.identify(w[0], w[1])
         if not progress:
             break
+        at = resolver.images().__getitem__
         rewritten = set()
         for w in relators:
-            out = []
-            for x in w:
-                r = resolver.resolve(abs(x))
-                if r == 0:
-                    continue
-                out.append(r if x > 0 else -r)
-            c = canonical_relator(out)
-            if c:
-                rewritten.add(c)
-        relators = rewritten
-    survivors = sorted(
-        g for g in range(1, F.ngens + 1) if resolver.rep[g] is None
-    )
-    renumber = {g: i + 1 for i, g in enumerate(survivors)}
-    final = set()
-    for w in relators:
-        out = tuple(
-            renumber[abs(x)] if x > 0 else -renumber[abs(x)] for x in w
-        )
-        final.add(canonical_relator(out))
-    final.discard(())
+            v = tuple(map(at, w))
+            rewritten.add(v if v == w else cyclic_reduce(filter(None, v)))
+        relators = rewritten - {()}
+    survivors = [g for g in range(1, F.ngens + 1) if resolver.rep[g] is None]
+    number = {g: i for i, g in enumerate(survivors, 1)}
+    final = {
+        canonical_relator([number[x] if x > 0 else -number[-x] for x in w])
+        for w in relators
+    }
     return FpGroup(
         len(survivors),
         tuple(sorted(final, key=lambda w: (len(w), w))),

@@ -377,10 +377,10 @@ class PermGroup:
         least such, as all it adds are conjugates (Holt, Eick and O'Brien,
         Handbook of Computational Group Theory).  ``more``, when given, is
         called once with the order of that closure, and the elements it
-        returns join the same closure, which is normal-closed again.  A
-        closure that holds every generator is this group: if its element
-        list is not known yet, it is taken from the closure.  The closure
-        raises SizeError past ``max_order``."""
+        returns join the same closure, which is normal-closed again.  An
+        element list not known yet is taken from a closure that holds every
+        generator, which is this group, or before ``more`` from a copy of a
+        proper one grown by them.  It raises SizeError past ``max_order``."""
         N = _Closure(self.identity, seed, limit=self.max_order)
         conj = [(x, x.inverse()) for x in self.generators]
 
@@ -396,6 +396,8 @@ class PermGroup:
 
         whole = close(0)
         if more is not None:
+            if not whole and self._elements is None:
+                self._elements = tuple(sorted(N.extended(*self.generators).members))
             start = len(N.gens)
             for s in more(len(N.members)):
                 N.add(s)
@@ -639,12 +641,13 @@ class _Closure:
                     reps.append(x)
         return True
 
-    def extended(self, s: Perm) -> "_Closure":
-        """A copy extended by s; this closure is left as it is."""
+    def extended(self, *gens: Perm) -> "_Closure":
+        """A copy extended by gens; this closure is left as it is."""
         out = _Closure.__new__(_Closure)
         out.gens, out.limit = list(self.gens), self.limit
         out.members = set(self.members)
-        out.add(s)
+        for s in gens:
+            out.add(s)
         return out
 
 

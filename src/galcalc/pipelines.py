@@ -529,9 +529,12 @@ def _amalgam_certificate(
                 image = (leg.apply(r),)
                 if coset_enumeration(leg.target, image, max_cosets=max_cosets) != order:
                     return None
+        # a leg of empty image words has the trivial image, of index its order
         indices = [
             coset_enumeration(leg.target, leg.images, max_cosets=max_cosets)
-            for leg in legs
+            if any(leg.images)
+            else order
+            for leg, order in zip(legs, orders)
         ]
     except CosetLimitExceeded:
         return None

@@ -173,15 +173,13 @@ class BooleanAlgebra:
         return frozenset(a for a in self.atoms() if self.leq(a, x))
 
     def to_json(self) -> dict:
-        """Serialize via atom-set bitmasks, one mask per element."""
+        """Serialize via atom-set bitmasks, one mask per element: bit i is
+        set when the i-th atom is below it.  The atoms are found once."""
         atoms = self.atoms()
-        apos = {a: i for i, a in enumerate(atoms)}
-        masks = []
-        for x in self.elements:
-            mask = 0
-            for a in self.atom_decomposition(x):
-                mask |= 1 << apos[a]
-            masks.append(mask)
+        masks = [
+            sum(1 << i for i, a in enumerate(atoms) if self.leq(a, x))
+            for x in self.elements
+        ]
         return {
             "schema": 1,
             "atom_count": len(atoms),

@@ -28,7 +28,14 @@ from galcalc.fp import (
     simplify,
     smith_normal_form,
 )
-from galcalc.pipelines import CERT_AMALGAM, CERT_FREE_RANK, van_kampen_pushout
+from galcalc import pipelines
+from galcalc.pipelines import (
+    CERT_AMALGAM,
+    CERT_FREE_RANK,
+    InfinitenessCertificate,
+    _amalgam_certificate,
+    van_kampen_pushout,
+)
 
 TRIV = FpGroup(0, ())
 Z = FpGroup(1, ())
@@ -150,6 +157,22 @@ def test_amalgam_needs_corner_relators_killed_in_the_factors():
     report = van_kampen_pushout(left, right, max_cosets=1000)
     assert report.certificate is None
     assert report.identification.status == "Inconclusive"
+
+
+def test_free_product_enumerates_each_factor_once(monkeypatch):
+    # the legs of C2 * C3 have empty image words: their images are trivial,
+    # so each index is the factor's order and is not enumerated again
+    calls = []
+
+    def counted(F, subgroup_words=(), max_cosets=50000):
+        calls.append(F)
+        return coset_enumeration(F, subgroup_words, max_cosets)
+
+    monkeypatch.setattr(pipelines, "coset_enumeration", counted)
+    C2, C3 = cyclic(2), cyclic(3)
+    cert = _amalgam_certificate(FpMap(TRIV, C2, ()), FpMap(TRIV, C3, ()), 50000)
+    assert cert == InfinitenessCertificate(CERT_AMALGAM, orders=(2, 3, 1), indices=(2, 3))
+    assert calls == [TRIV, C2, C3]
 
 
 def certified_cases():

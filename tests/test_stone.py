@@ -114,3 +114,14 @@ def test_json_bitmask_serialization():
     assert data["schema"] == 1
     assert data["atom_count"] == 2
     assert sorted(data["elements"]) == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_json_masks_match_atom_decompositions(n):
+    B = algebra_of_set(range(n))
+    atoms = B.atoms()
+    data = B.to_json()
+    assert data["atom_count"] == len(atoms) == n
+    for x, mask in zip(B.elements, data["elements"]):
+        below = B.atom_decomposition(x)
+        assert mask == sum(1 << i for i, a in enumerate(atoms) if a in below)

@@ -7,12 +7,15 @@ rebind each name in the galcalc modules that holds the function, so the
 program's files are untouched.  Each stage and the total take their best
 over the runs, and one markdown table row is printed per case:
 
-    | Case | Family | Gens / rels | elementary_abelian | reps | orbit_category | nerve | simplify | identify | Total |
+    | Case | Family | Gens / rels | elementary_abelian | reps | orbit_category | nerve | simplify | identify | Total | Digest |
 
 Family is the number of nontrivial elementary abelian p-subgroups, reps
 is ``conjugacy_class_representatives``, identify is ``identify_finite``
 (naming the certified group against the candidate pool), and gens / rels
-count the nerve presentation before ``simplify``.  Stdlib only:
+count the nerve presentation before ``simplify``.  Digest is the first
+12 hex digits of the sha256 of the simplified presentation's
+``spec_text()``, so rows taken from two checkouts show whether
+``simplify`` gave the same output.  Stdlib only:
 
     python3 tools/reach_ladder.py --repeat 3 S7@2 A8@3
     python3 tools/reach_ladder.py --max-order 100000 'perm:12:...@3'
@@ -21,6 +24,7 @@ count the nerve presentation before ``simplify``.  Stdlib only:
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import subprocess
 import sys
@@ -88,12 +92,13 @@ def run_once(case: str, max_order: int) -> dict:
     start = time.perf_counter()
     report = galois_stmod(G, int(p))
     times["total"] = time.perf_counter() - start
-    F = results["nerve"]
+    F, Fs = results["nerve"], results["simplify"]
     return {
         "times": times,
         "family": len(results["elementary_abelian"]),
         "gens": F.ngens,
         "rels": len(F.relators),
+        "digest": hashlib.sha256(Fs.spec_text().encode()).hexdigest()[:12],
         "status": report.identification.status,
     }
 
@@ -118,6 +123,7 @@ def row(case: str, r: dict) -> str:
     t = r["times"]
     cells = [case, str(r["family"]), f"{r['gens']} / {r['rels']}"]
     cells += [f"{t.get(name, 0.0):.3f}" for name in (*STAGES, "total")]
+    cells.append(r["digest"])
     return "| " + " | ".join(cells) + " |"
 
 
@@ -131,8 +137,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.once:
         print(json.dumps(run_once(args.cases[0], args.max_order)))
         return 0
-    print("| Case | Family | Gens / rels | " + " | ".join(STAGES) + " | Total |")
-    print("|" + "---|" * (len(STAGES) + 4))
+    print("| Case | Family | Gens / rels | " + " | ".join(STAGES) + " | Total | Digest |")
+    print("|" + "---|" * (len(STAGES) + 5))
     for case in args.cases:
         print(row(case, best_of(case, args.max_order, args.repeat)), flush=True)
     return 0
