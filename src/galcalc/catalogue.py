@@ -200,12 +200,19 @@ def _explicit_group(spec: str, max_order: int) -> PermGroup:
 def standard_catalogue(max_order: int, exact: bool = False) -> list[str]:
     """Deterministic list of catalogue specs with order <= max_order, or
     only those of order exactly max_order when ``exact``; no group is
-    built.
+    built, and each call returns a fresh list.
 
     One spec per isomorphism type: cyclics, invariant-factor abelian
     products with up to four factors, dihedrals from D6 up, symmetric and
     alternating groups, and the quaternion groups.
     """
+    return [name for n, name in _catalogue_specs(max_order) if not exact or n == max_order]
+
+
+@functools.cache
+def _catalogue_specs(max_order: int) -> tuple[tuple[int, str], ...]:
+    """The sorted (order, spec) pairs of ``standard_catalogue(max_order)``,
+    built once per max_order."""
     names: list[tuple[int, str]] = []
     for n in range(1, max_order + 1):
         names.append((n, f"C{n}"))
@@ -236,8 +243,7 @@ def standard_catalogue(max_order: int, exact: bool = False) -> list[str]:
     for q in (8, 16):
         if q <= max_order:
             names.append((q, f"Q{q}"))
-    names.sort()
-    return [name for n, name in names if not exact or n == max_order]
+    return tuple(sorted(names))
 
 
 _catalogue_cache: dict[tuple[str, int], PermGroup] = {}

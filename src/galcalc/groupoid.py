@@ -4,7 +4,8 @@ The hom-groupoid Hom(BG, BG') is computed two ways: by the structural
 formula (components = conjugacy classes of homomorphisms, automorphisms
 = centralizer of the image) and by a definitional brute-force functor
 enumeration.  The two paths are kept independent so they can be checked
-against each other.
+against each other; the brute force is an oracle for the tests and the
+benchmark's oracle mode, and no CLI command runs it.
 """
 
 from __future__ import annotations

@@ -14,10 +14,10 @@ oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import Callable, Hashable, Sequence
 
 from .errors import CertificateError, IncompatibleGroups, ParseError, SizeError
-from .perm import GroupHom, Perm, PermGroup, Subgroup, extend_generator_map
+from .perm import GroupHom, Perm, PermGroup, Subgroup, _right_mul, extend_generator_map
 from .perm import find_isomorphism, homomorphisms
 from .stone import BooleanAlgebra
 
@@ -234,10 +234,12 @@ def quotient_by_action(X: GSet, aux: GSet) -> GSet:
 
 
 def _check_commuting(X: GSet, aux: GSet) -> None:
-    n = len(X.points)
+    """am o gm == gm o am for each pair of generator maps, both sides one
+    tuple built in C (``_right_mul(s)(t)`` is t o s)."""
     for gm in X._gen_maps:
+        after_gm = _right_mul(gm)
         for am in aux._gen_maps:
-            if any(am[gm[x]] != gm[am[x]] for x in range(n)):
+            if after_gm(am) != _right_mul(am)(gm):
                 raise IncompatibleGroups("actions do not commute")
 
 
@@ -281,19 +283,20 @@ def _right_regular(Gp: PermGroup) -> GSet:
     return GSet(Gp, Gp.elements, gen_images)
 
 
-def _induced_base(phi: GroupHom, aux: GSet) -> GSet:
-    """The source acting through phi by left multiplication on aux's carrier,
-    the target's elements (``_right_regular``)."""
-    index = phi.target.element_index
-    gen_images = [[index[phi(s) * x] for x in aux.points] for s in phi.source.generators]
-    return GSet(phi.source, aux.points, gen_images)
+def _induced_base(phi: GroupHom, left: GSet) -> GSet:
+    """The source acting through phi by left multiplication on the target's
+    elements: each generator s acts as phi(s) does in ``left``, the
+    target's left-regular G-set (``GSet.regular``), the carrier of
+    ``_right_regular`` too."""
+    gen_images = [left.action_map(phi(s)) for s in phi.source.generators]
+    return GSet(phi.source, left.points, gen_images)
 
 
 def torsor_from_hom(phi: GroupHom) -> TorsorCandidate:
     """The target-group torsor induced by a homomorphism: the source acts
     on the target's elements on the left through phi, the target on the right."""
     aux = _right_regular(phi.target)
-    return TorsorCandidate(_induced_base(phi, aux), aux)
+    return TorsorCandidate(_induced_base(phi, GSet.regular(phi.target)), aux)
 
 
 def torsor_isomorphic(T1: TorsorCandidate, T2: TorsorCandidate) -> bool:
@@ -343,22 +346,27 @@ def torsor_isomorphic(T1: TorsorCandidate, T2: TorsorCandidate) -> bool:
     return False
 
 
-def _aux_automorphisms(aux: GSet) -> list[tuple[list[int], list[int]]]:
-    """The bijections psi_y(a . 0) = a . y of the carrier with their
-    inverses, one per point y: for a free transitive aux, its automorphisms."""
+def _aux_automorphisms(
+    aux: GSet,
+) -> list[tuple[tuple[int, ...], Callable[[Sequence[int]], tuple[int, ...]]]]:
+    """The bijections psi_y(a . 0) = a . y of the carrier, one per point y,
+    each with the bound map t -> t o psi_y^-1: for a free transitive aux,
+    its automorphisms."""
     maps = [aux.action_map(a) for a in aux.group.elements]
     return [
-        ([v for _, v in sorted((m[0], m[y]) for m in maps)],
-         [u for _, u in sorted((m[y], m[0]) for m in maps)])
+        (tuple([v for _, v in sorted((m[0], m[y]) for m in maps)]),
+         _right_mul([u for _, u in sorted((m[y], m[0]) for m in maps)]))
         for y in range(len(aux.points))
     ]
 
 
 def _least_transport(base: GSet, autos) -> tuple[int, ...]:
     """Least psi o s o psi^-1 over ``autos``, s running over the base
-    generator maps, flattened one generator map after another."""
-    gms = base._gen_maps
-    return min(tuple([psi[gm[x]] for gm in gms for x in inv]) for psi, inv in autos)
+    generator maps, flattened one generator map after another: psi o s is
+    ``_right_mul(s)(psi)``, and the bound inverse map of ``autos`` takes it
+    on to psi o s o psi^-1, each a tuple built in C."""
+    spread = [_right_mul(gm) for gm in base._gen_maps]  # psi -> psi o s
+    return min(sum([after(s(psi)) for s in spread], ()) for psi, after in autos)
 
 
 def classify_torsors(G: PermGroup, Gp: PermGroup) -> list[TorsorCandidate]:
@@ -375,9 +383,9 @@ def classify_torsors(G: PermGroup, Gp: PermGroup) -> list[TorsorCandidate]:
     """
     if Gp.order > TORSOR_CARRIER_BOUND:
         raise SizeError(f"torsor carrier bound {TORSOR_CARRIER_BOUND} exceeded")
-    aux = _right_regular(Gp)
+    aux, left = _right_regular(Gp), GSet.regular(Gp)
     homs = homomorphisms(G, Gp)
-    torsors = [TorsorCandidate(_induced_base(f, aux), aux) for f in homs]
+    torsors = [TorsorCandidate(_induced_base(f, left), aux) for f in homs]
     # the candidates share aux and the carrier size, so one check covers all
     if not is_torsor(torsors[0]):
         raise CertificateError(

@@ -57,6 +57,7 @@ DEFAULT_MAX_ORDER = 20000
 HOM_SEARCH_BOUND = 10**7
 MAX_ELEMENTARY_ABELIAN = 4096  # subgroups stored by the elementary abelian search
 _ONE = re.compile("1")
+_SPARSE_BITS = 25  # below this many members, _bit_positions skips the regex
 
 
 class Perm(tuple):
@@ -168,9 +169,11 @@ class Perm(tuple):
         return "".join("(" + " ".join(str(x) for x in c) + ")" for c in cyc)
 
 
-# The product, bound at import: the conjugations in conjugation_table and
-# normal_closure stay unseen by a rebinding of Perm.__mul__ (galbench's count),
-# and so do the bulk products below, which never call Perm.__mul__.
+# The product, bound at import: the products in normal_closure, normalizer,
+# sylow_subgroup and class_walk stay unseen by a rebinding of Perm.__mul__
+# (galbench's count), and so do the bulk products through ``_right_mul``
+# (whole cosets, BFS levels, conjugation_table, extend_generator_map), which
+# never call Perm.__mul__.
 _compose = Perm.__mul__
 _as_perm = functools.partial(tuple.__new__, Perm)
 
@@ -217,6 +220,7 @@ class PermGroup:
         self._orders: Optional[tuple[int, ...]] = None
         self._index: Optional[dict[Perm, int]] = None
         self._conj_tables: dict[Perm, tuple[int, ...]] = {}
+        self._small_gens: Optional[tuple[Perm, ...]] = None
         self._walks: dict[int, tuple[tuple[list, list[Perm], list], int]] = {}
         self._normalizers: dict["Subgroup", "Subgroup"] = {}
 
@@ -327,8 +331,11 @@ class PermGroup:
         return dict(Counter(self.element_orders))
 
     def small_generating_set(self) -> tuple[Perm, ...]:
-        """Greedy generating set, scanning elements in sorted order."""
-        return self.full_subgroup().generating_set()
+        """Greedy generating set, scanning elements in sorted order; found
+        once per group."""
+        if self._small_gens is None:
+            self._small_gens = self.full_subgroup().generating_set()
+        return self._small_gens
 
     # -- subgroup machinery -------------------------------------------------
 
@@ -593,6 +600,17 @@ def _p_part(n: int, p: int) -> int:
 
 
 def _bit_positions(bits: int) -> list[int]:
+    """The set bits' positions, ascending.  A sparse bitset, such as a
+    small subgroup of a large group, is read lowest bit first, at a few
+    integer operations per member; a dense one through ``bin()`` and a
+    regex, whose cost follows the top bit's position."""
+    if bits.bit_count() < _SPARSE_BITS:
+        out = []
+        while bits:
+            low = bits & -bits
+            out.append(low.bit_length() - 1)
+            bits ^= low
+        return out
     # bin(bits)[:1:-1] has bit i at index i
     return [m.start() for m in _ONE.finditer(bin(bits)[:1:-1])]
 
@@ -781,14 +799,13 @@ class Subgroup:
 
     def as_group(self, name: Optional[str] = None) -> PermGroup:
         """The subgroup as a standalone PermGroup on the same points, on its
-        greedy generating set, handed its members as its sorted element list."""
+        greedy generating set, handed its members as its sorted element list
+        and that set as its own greedy generating set, which it is."""
+        gens = self.generating_set()
         group = PermGroup(
-            self.parent.degree,
-            self.generating_set(),
-            name=name,
-            max_order=self.parent.max_order,
+            self.parent.degree, gens, name=name, max_order=self.parent.max_order
         )
-        group._elements = self.members
+        group._elements, group._small_gens = self.members, gens
         return group
 
 
@@ -854,9 +871,10 @@ def extend_generator_map(
 
     The one routine behind homomorphisms and G-set actions; ``identity``
     is the codomain's.  It walks the source's Cayley edges (p, gi, q) once,
-    in BFS order, at one codomain product f(p) * f(gen gi) each: a tree
-    edge defines f(q) as that product, a closing edge must find it equal
-    to f(q), and the first that does not returns None.  So f(g * s) =
+    in BFS order, at one codomain product f(p) * f(gen gi) each, by a map
+    bound once per generator image: a tree edge defines f(q) as that
+    product, a closing edge must find it equal to f(q), compared as plain
+    tuples, and the first that does not returns None.  So f(g * s) =
     f(g) * f(s) holds for every element g and generator s, which proves f
     multiplicative: by induction f(g * w) = f(g) * f(w) for every positive
     word w in the generators, and every element of a finite group is such
@@ -864,12 +882,13 @@ def extend_generator_map(
     """
     defined, targets = source.cayley_table()
     f = [identity]
+    steps = [_right_mul(image) for image in images]  # step(x) is x * image
     qs = iter(targets)
     for fp in f:  # f grows on the way: p's edges come after p's definition
-        for image, q in zip(images, qs):
-            x = _compose(fp, image)
+        for step, q in zip(steps, qs):
+            x = step(fp)
             if q == len(f):
-                f.append(x)
+                f.append(_as_perm(x))
             elif x != f[q]:
                 return None
     return dict(zip(defined, f))

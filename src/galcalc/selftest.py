@@ -11,7 +11,7 @@ from typing import Callable
 
 from .catalogue import catalogue_group
 from .fp import FpGroup, coset_enumeration, identify_finite, simplify
-from .groupoid import delooping, hom_groupoids_agree
+from .groupoid import delooping, hom_groupoid
 from .gset import classify_torsors
 from .orbitcat import nerve_pi1_presentation
 from .perm import hom_conjugacy_classes, homomorphisms
@@ -32,8 +32,11 @@ def _fp() -> bool:
 
 
 def _groupoid() -> bool:
-    """Hom(BC2, BS3) by its formula agrees with the brute-force oracle."""
-    return hom_groupoids_agree(catalogue_group("C2"), catalogue_group("S3"))
+    """Hom(BC2, BS3) has two components, at the trivial map and at a
+    transposition, with automorphism groups S3 and C2."""
+    report = hom_groupoid(catalogue_group("C2"), catalogue_group("S3"))
+    names = [c["automorphisms"]["group"] for c in report.to_json()["components"]]
+    return report.automorphism_orders() == [6, 2] and names == ["S3", "C2"]
 
 
 def _gset() -> bool:

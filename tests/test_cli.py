@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from galcalc import catalogue, selftest
+from galcalc import catalogue, groupoid, selftest
 from galcalc.cli import main
+from galcalc.groupoid import HomGroupoidReport
 
 
 def run_cli(capsys, *argv):
@@ -245,6 +246,32 @@ def test_selftest_reports_a_failed_suite(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "selftest")
     assert code == 1
     assert "FAIL fp-group" in out.splitlines()
+    assert out.count("ok ") == 6
+
+
+@pytest.mark.parametrize("cut", [slice(1), slice(None, None, -1)])
+def test_selftest_groupoid_check_fails_on_a_wrong_hom_groupoid(capsys, monkeypatch, cut):
+    # one component dropped, or the two components swapped
+    real = selftest.hom_groupoid
+
+    def wrong(G, H):
+        report = real(G, H)
+        return HomGroupoidReport(G, H, report.components[cut])
+
+    monkeypatch.setattr(selftest, "hom_groupoid", wrong)
+    code, out, _ = run_cli(capsys, "selftest")
+    assert code == 1
+    assert "FAIL groupoid" in out.splitlines()
+    assert out.count("ok ") == 6
+
+
+def test_selftest_groupoid_check_fails_on_a_wrong_name(capsys, monkeypatch):
+    # the automorphism orders stay right; the order-6 group is misnamed
+    real = groupoid.name_group
+    monkeypatch.setattr(groupoid, "name_group", lambda G: "C6" if G.order == 6 else real(G))
+    code, out, _ = run_cli(capsys, "selftest")
+    assert code == 1
+    assert "FAIL groupoid" in out.splitlines()
     assert out.count("ok ") == 6
 
 

@@ -2,8 +2,9 @@
 
 The oracles are the quadratic closures the kernel used before Dimino's
 algorithm: close a set by multiplying every new element with every
-element found so far, and pick generators greedily by re-closing.  The
-normal-closure oracle is the loop used before the closure's own
+element found so far, and pick generators greedily by re-closing (also
+the oracle for the set ``as_group`` hands its group).  The normal-closure
+oracle is the loop used before the closure's own
 generators were conjugated: conjugate every seed element by every
 generator and its inverse until the set stops growing, then close it.
 The order-p oracle is the power definition g != 1, g^p = 1.
@@ -11,6 +12,7 @@ The order-p oracle is the power definition g != 1, g^p = 1.
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -152,6 +154,27 @@ def test_generating_set_matches_greedy_reclosing():
             seed = rng.sample(G.elements, rng.randint(1, 3))
             H = G.subgroup_from_generators(seed)
             assert H.generating_set() == greedy_generators(H)
+
+
+def _subgroups(G):
+    out = [G.full_subgroup(), G.trivial_subgroup(), G.center()]
+    out += [G.centralizer([g]) for g in G.elements]
+    for p in _primes(G.order):
+        out.append(G.sylow_subgroup(p))
+        out += G.elementary_abelian_p_subgroups(p)
+    return out
+
+
+@pytest.mark.parametrize("spec", standard_catalogue(24))
+def test_as_group_hands_over_the_greedy_generating_set(spec):
+    G = catalogue_group(spec)
+    assert G.small_generating_set() is G.small_generating_set()
+    for H in _subgroups(G):
+        K = H.as_group()
+        expected = greedy_generators(H)
+        assert K.generators == K.small_generating_set() == expected
+        # a fresh group on the same elements finds the same set
+        assert PermGroup(G.degree, H.members).small_generating_set() == expected
 
 
 def test_orbit_sweep_hom_classes_match_pairwise_scan():

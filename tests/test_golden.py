@@ -33,11 +33,15 @@ The ``stmod`` text digests and every ``pushout`` digest did not change.
 """
 
 import hashlib
+import json
 import time
 
 import pytest
 
+from galcalc.catalogue import catalogue_group, standard_catalogue
 from galcalc.cli import main
+from galcalc.groupoid import hom_groupoid
+from galcalc.gset import classify_torsors
 
 # command -> (text digest, json digest)
 DIGESTS = {
@@ -99,3 +103,29 @@ def test_golden_list_is_fast(capsys):
             main(command.split() + ["--format", fmt])
     capsys.readouterr()
     assert time.perf_counter() - start < 5.0
+
+
+# every ordered pair of the catalogue types of order <= 12 but C2xC2xC2
+SWEEP_SPECS = [s for s in standard_catalogue(12) if s != "C2xC2xC2"]
+SWEEP_DIGEST = "3c9f01842d0fc298ae76fb38450acdcc307b954f0bd8c3a53e699139e3364f29"
+
+
+def test_hom_torsor_sweep_digest():
+    """One digest over ``hom_groupoid(G, H).to_json()`` and the base
+    generator maps of ``classify_torsors(G, H)``'s classes, for each
+    ordered pair of the 22 types in ``SWEEP_SPECS``.  It was taken on the
+    code before the hom layer bound its maps once per call (one bound map
+    per generator image in ``extend_generator_map``, cached generating
+    sets and catalogue lists, ``itemgetter`` torsor keys)."""
+    assert len(SWEEP_SPECS) == 22
+    digest = hashlib.sha256()
+    for g in SWEEP_SPECS:
+        for h in SWEEP_SPECS:
+            G, H = catalogue_group(g), catalogue_group(h)
+            torsors = classify_torsors(G, H)
+            payload = {
+                "groupoid": hom_groupoid(G, H).to_json(),
+                "torsors": [[list(m) for m in T.base._gen_maps] for T in torsors],
+            }
+            digest.update(json.dumps(payload, sort_keys=True).encode())
+    assert digest.hexdigest() == SWEEP_DIGEST
