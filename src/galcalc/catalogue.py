@@ -54,19 +54,15 @@ def group_from_catalogue(spec: str, max_order: int = DEFAULT_MAX_ORDER) -> PermG
     if not m:
         raise ParseError(f"unrecognized group spec {spec!r}")
     fam, n = m.group(1), int(m.group(2))
+    if fam in "SAC" and n < 1:
+        raise ParseError(f"{fam}<n> needs n >= 1")
     if fam == "S":
-        if n < 1:
-            raise ParseError("S<n> needs n >= 1")
-        _check_order(math.factorial(n), max_order, spec)
+        _check_order(_factorial_past(n, max_order), max_order, spec)
         return _symmetric(n, spec, max_order)
     if fam == "A":
-        if n < 1:
-            raise ParseError("A<n> needs n >= 1")
-        _check_order(max(1, math.factorial(n) // 2), max_order, spec)
+        _check_order(max(1, _factorial_past(n, 2 * max_order) // 2), max_order, spec)
         return _alternating(n, spec, max_order)
     if fam == "C":
-        if n < 1:
-            raise ParseError("C<n> needs n >= 1")
         _check_order(n, max_order, spec)
         return _cyclic_product([n], spec, max_order)
     if fam == "D":
@@ -82,9 +78,17 @@ def group_from_catalogue(spec: str, max_order: int = DEFAULT_MAX_ORDER) -> PermG
     raise ParseError(f"unrecognized group spec {spec!r}")  # pragma: no cover
 
 
+def _factorial_past(n: int, bound: int) -> int:
+    """n!, or else the first k! past ``bound``: huge n costs a few products."""
+    for f in itertools.accumulate(range(1, n + 1), int.__mul__):
+        if f > bound:
+            break
+    return f
+
+
 def _check_order(order: int, max_order: int, spec: str) -> None:
     if order > max_order:
-        raise SizeError(f"{spec}: order {order} exceeds bound {max_order}")
+        raise SizeError(f"{spec}: order exceeds bound {max_order}")
 
 
 def _symmetric(n: int, name: str, max_order: int) -> PermGroup:

@@ -51,7 +51,8 @@ from .errors import (
     POrderError,
     SizeError,
 )
-from .fp import DEFAULT_MAX_COSETS, FpMap, IdentificationResult, parse_fp, word_from_text
+from .fp import DEFAULT_MAX_COSETS, IDENTIFIED, FpMap, IdentificationResult
+from .fp import parse_fp, word_from_text
 from .groupoid import hom_groupoid
 from .gset import classify_torsors
 from .perm import DEFAULT_MAX_ORDER, PermGroup
@@ -116,7 +117,7 @@ def _cmd_cochains(args: argparse.Namespace) -> int:
 
 def _identification_lines(ident: IdentificationResult) -> list[str]:
     """The match and its order, or the status and any certified order."""
-    if ident.status == "Identified":
+    if ident.status == IDENTIFIED:
         return [f"identified {ident.match_name} (order {ident.certified_order})"]
     lines = [f"identification: {ident.status}"]
     if ident.certified_order is not None:
@@ -137,7 +138,7 @@ def _cmd_stmod(args: argparse.Namespace) -> int:
         lines.append(f"cross-check {check.path}: {verdict}")
     lines.append(f"note: {report.note}")
     _emit(args, report.to_json(), "\n".join(lines))
-    if args.require_identified and ident.status != "Identified":
+    if args.require_identified and ident.status != IDENTIFIED:
         return EXIT_INCONCLUSIVE
     return EXIT_OK
 
@@ -299,7 +300,7 @@ def _cmd_pushout(args: argparse.Namespace) -> int:
     else:
         lines += _identification_lines(ident)
     _emit(args, report.to_json(), "\n".join(lines))
-    if args.require_identified and ident.status != "Identified":
+    if args.require_identified and ident.status != IDENTIFIED:
         return EXIT_INCONCLUSIVE
     return EXIT_OK
 

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from typing import Callable, Hashable, Sequence
 
 from .errors import CertificateError, IncompatibleGroups, ParseError, SizeError
-from .perm import GroupHom, Perm, PermGroup, Subgroup, _right_mul, extend_generator_map
-from .perm import find_isomorphism, homomorphisms
+from .perm import GroupHom, Perm, PermGroup, Subgroup, _as_perm, _right_mul
+from .perm import extend_generator_map, find_isomorphism, homomorphisms
 from .stone import BooleanAlgebra
 
 TORSOR_CARRIER_BOUND = 24
@@ -50,7 +50,7 @@ class GSet:
             img = tuple(img)
             if sorted(img) != list(range(n)):
                 raise ValueError("generator image is not a permutation of the carrier")
-            gen_perms.append(Perm._raw(img))
+            gen_perms.append(_as_perm(img))
         self._gen_maps = tuple(gen_perms)
         maps = extend_generator_map(group, gen_perms, Perm.identity(n))
         if maps is None:

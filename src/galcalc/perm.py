@@ -16,13 +16,13 @@ coset per map.  Element orders walk each cyclic subgroup once.  A normal
 closure is that closure of its seed, grown by the conjugates of its own
 generators by the group's generators; a closure that holds every
 generator hands the group its element list, so no second closure lists
-it.  A subgroup's conjugacy class is walked once by the generators, with
-a conjugating element per conjugate, and serves every member: the
-normalizer is the closure of the walk's Schreier generators, stopped at
-|G| / |class|, and the center is read off the generators' conjugation
-tables.  Elementary abelian p-subgroups are found by cyclic extension of
-one representative per class.  Centralizers test one element per right
-coset of the part found so far.  A quotient G/N is
+it.  A subgroup's conjugacy class is walked once by the generators from
+the subgroup, with a conjugating element per conjugate: the normalizer
+is the closure of the walk's Schreier generators, stopped at |G| /
+|class|, and the center is read off the generators' conjugation tables.
+Elementary abelian p-subgroups are found by cyclic extension of one
+representative per class, the root of its walk.  Centralizers test one
+element per right coset of the part found so far.  A quotient G/N is
 first the action on the N-orbits, then, when that fails, the action on
 the left cosets of N (``Subgroup.cosets``, the one left-coset routine):
 either way the one check |G/N| * |N| = |G| proves both that N is normal
@@ -76,11 +76,6 @@ class Perm(tuple):
         if sorted(p) != list(range(len(p))):
             raise ValueError(f"not a permutation of 0..{len(p) - 1}: {tuple(p)!r}")
         return p
-
-    @classmethod
-    def _raw(cls, images: Iterable[int]) -> "Perm":
-        # fast path for images already known to form a permutation
-        return tuple.__new__(cls, images)
 
     @classmethod
     def identity(cls, degree: int) -> "Perm":
@@ -221,7 +216,7 @@ class PermGroup:
         self._index: Optional[dict[Perm, int]] = None
         self._conj_tables: dict[Perm, tuple[int, ...]] = {}
         self._small_gens: Optional[tuple[Perm, ...]] = None
-        self._walks: dict[int, tuple[tuple[list, list[Perm], list], int]] = {}
+        self._walks: dict[int, tuple[list, list[Perm], list]] = {}
         self._normalizers: dict["Subgroup", "Subgroup"] = {}
 
     def __repr__(self) -> str:
@@ -512,12 +507,12 @@ class PermGroup:
                 image = [moved[x] for x in least]
                 if moved != spread(image):  # g splits an orbit
                     break
-                gen_images.append(Perm._raw(image))
+                gen_images.append(_as_perm(image))
             else:
                 yield k, gen_images
         reps, coset = N.cosets()
         yield len(reps), [
-            Perm._raw([coset[x * r] for r in reps]) for x in self.generators
+            _as_perm([coset[x * r] for r in reps]) for x in self.generators
         ]
 
     def elementary_abelian_p_subgroups(self, p: int) -> list["Subgroup"]:
@@ -729,9 +724,9 @@ class Subgroup:
         """The conjugacy class H = C_0, C_1, ... walked once by the parent's
         generators (every element is a positive word in them): the C_c, an
         x_c with C_c = x_c H x_c^-1 for each, and the walk's non-tree edges
-        (c, g, d), g C_c g^-1 = C_d.  The parent keeps one walk per class:
-        asked from another member C_s, it is re-rooted there, with C_s first
-        and x_c x_s^-1 for x_c; the tree edges still read x_d = g x_c."""
+        (c, g, d), g C_c g^-1 = C_d.  The parent keeps each walk under its
+        root H, and a subgroup with no walk of its own is walked from itself;
+        the skeleton's representatives are the roots of the search's walks."""
         G = self.parent
         if self.bits not in G._walks:
             out, x, edges = [self], [G.identity], []
@@ -751,20 +746,8 @@ class Subgroup:
                         where.append(moved)
                     else:
                         edges.append((c, g, d))
-            G._walks.update((C.bits, ((out, x, edges), c)) for c, C in enumerate(out))
-        walk, s = G._walks[self.bits]
-        if s:  # re-root at C_s
-            out, x, edges = walk
-            back = x[s].inverse()
-            at = [s, *range(s), *range(s + 1, len(out))]  # the old index of each
-            new = {c: i for i, c in enumerate(at)}
-            walk = (
-                [out[c] for c in at],
-                [_compose(x[c], back) for c in at],
-                [(new[c], g, new[d]) for c, g, d in edges],
-            )
-            G._walks[self.bits] = (walk, 0)
-        return walk
+            G._walks[self.bits] = (out, x, edges)
+        return G._walks[self.bits]
 
     def conjugacy_class(self) -> list["Subgroup"]:
         """Every conjugate g H g^-1, this subgroup first, in walk order."""

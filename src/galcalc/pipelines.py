@@ -43,8 +43,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .catalogue import catalogue_group, standard_catalogue
-from .errors import CosetLimitExceeded, POrderError
+from .catalogue import catalogue_group, name_group, standard_catalogue
+from .errors import CosetLimitExceeded, POrderError, SizeError
 from .fp import (
     DEFAULT_MAX_COSETS,
     FpGroup,
@@ -69,6 +69,9 @@ from .perm import Perm, PermGroup, Subgroup, find_isomorphism
 
 # a pushout of certified order up to this bound is named from the catalogue
 PUSHOUT_CANDIDATE_BOUND = 48
+# trial divisors and Miller-Rabin bases of _require_prime, exact below the bound
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_PRIME_CHECKED = 3317044064679887385961981
 
 ARITHMETIC_NOTE = (
     "ground field assumed separably closed; the arithmetic factor "
@@ -200,8 +203,6 @@ class GaloisReport:
         return None
 
     def to_json(self) -> dict:
-        from .catalogue import name_group
-
         result: dict = {}
         if self.result_perm is not None:
             result = {
@@ -288,7 +289,7 @@ def galois_stmod(
         weyl = pool[-1]  # the pool ends with the Weyl group of maximal[-1]
         ident = identify_finite(Fs, pool, regular=regular)
     report = GaloisReport(
-        group_spec=G.name or f"<order {G.order}>",
+        group_spec=_spec(G),
         prime=p,
         theorem_path=PATH_STMOD_NERVE,
         presentation=F,
@@ -383,21 +384,15 @@ def stmod_cross_check(
 
 
 def modg_report(G: PermGroup, p: int) -> GaloisReport:
-    return GaloisReport(
-        group_spec=G.name or f"<order {G.order}>",
-        prime=p,
-        theorem_path=PATH_MODG,
-        result_perm=galois_modg(G, p),
-    )
+    return GaloisReport(_spec(G), p, PATH_MODG, result_perm=galois_modg(G, p))
 
 
 def cochains_report(G: PermGroup, p: int) -> GaloisReport:
-    return GaloisReport(
-        group_spec=G.name or f"<order {G.order}>",
-        prime=p,
-        theorem_path=PATH_COCHAINS,
-        result_perm=galois_cochains(G, p),
-    )
+    return GaloisReport(_spec(G), p, PATH_COCHAINS, result_perm=galois_cochains(G, p))
+
+
+def _spec(G: PermGroup) -> str:
+    return G.name or f"<order {G.order}>"
 
 
 CERT_FREE_RANK = "FreeRank"
@@ -562,5 +557,20 @@ def require_prime_divisor(G: PermGroup, p: int) -> None:
 
 
 def _require_prime(p: int) -> None:
-    if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+    """ValueError unless p is prime: trial division by the first 13 primes,
+    then the strong probable-prime test to those bases, which no composite
+    below ``MAX_PRIME_CHECKED`` passes (Sorenson and Webster, Strong
+    pseudoprimes to twelve prime bases, 2015); SizeError past that bound."""
+    if p in _SMALL_PRIMES:
+        return
+    if p < 2 or any(p % q == 0 for q in _SMALL_PRIMES):
         raise ValueError(f"{p} is not prime")
+    if p >= MAX_PRIME_CHECKED:
+        raise SizeError(f"primality is checked only below bound {MAX_PRIME_CHECKED}")
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2^s with d odd
+    d = (p - 1) >> s
+    for a in _SMALL_PRIMES:  # strong probable prime: a^d = 1 or a^(d 2^r) = -1, r < s
+        x = pow(a, d, p)
+        squares = itertools.accumulate(range(s - 1), lambda y, _: y * y % p, initial=x)
+        if x != 1 and p - 1 not in squares:
+            raise ValueError(f"{p} is not prime")

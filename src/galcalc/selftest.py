@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Callable
 
 from .catalogue import catalogue_group
-from .fp import FpGroup, coset_enumeration, identify_finite, simplify
+from .fp import IDENTIFIED, FpGroup, coset_enumeration, identify_finite, simplify
 from .groupoid import delooping, hom_groupoid
 from .gset import classify_torsors
 from .orbitcat import nerve_pi1_presentation
@@ -54,14 +54,14 @@ def _orbit_nerve() -> bool:
     """The nerve of BS3 has fundamental group S3."""
     S3 = catalogue_group("S3")
     F = nerve_pi1_presentation(delooping(S3), 0)
-    return identify_finite(F, [S3]).status == "Identified"
+    return identify_finite(F, [S3]).status == IDENTIFIED
 
 
 def _pipelines() -> bool:
     """Stmod(S3) at p = 3 is identified, and every cross-check agrees."""
     report = galois_stmod(catalogue_group("S3"), 3)
     ident = report.identification
-    identified = ident is not None and ident.status == "Identified"
+    identified = ident is not None and ident.status == IDENTIFIED
     return identified and all(c.agreed for c in report.cross_checks)
 
 

@@ -1,10 +1,11 @@
 """CLI surface: commands, formats, exit codes, determinism."""
 
 import json
+import time
 
 import pytest
 
-from galcalc import catalogue, groupoid, selftest
+from galcalc import catalogue, groupoid, pipelines, selftest
 from galcalc.cli import main
 from galcalc.groupoid import HomGroupoidReport
 
@@ -42,7 +43,9 @@ def test_result_named_once_per_run(capsys, monkeypatch, command, fmt):
         calls.append(G.order)
         return name_group(G)
 
+    # display_name looks the name up in catalogue, GaloisReport.to_json in pipelines
     monkeypatch.setattr(catalogue, "name_group", counted)
+    monkeypatch.setattr(pipelines, "name_group", counted)
     code, out, _ = run_cli(capsys, command, "S4", "-p", "3", "--format", fmt)
     assert code == 0
     assert out.strip()
@@ -187,6 +190,39 @@ def test_exit_code_p_order(capsys):
 def test_exit_code_size(capsys):
     code, _, err = run_cli(capsys, "modg", "S8", "-p", "2")
     assert code == 3
+
+
+@pytest.mark.parametrize("spec", ["S30", "S1700", "A1800", "S1000000"])
+def test_huge_family_order_is_refused_without_computing_it(capsys, monkeypatch, spec):
+    # S1700! has more digits than Python formats and 1000000! takes minutes:
+    # with math.factorial unset, the bound check never computes n!
+    monkeypatch.setattr(catalogue.math, "factorial", None)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "modg", spec, "-p", "2")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert err.splitlines() == [f"error: {spec}: order exceeds bound 20000"]
+
+
+@pytest.mark.parametrize(
+    "p, code, message",
+    [
+        (2**61 - 1, 0, None),
+        ((10**9 + 7) * (10**9 + 9), 2, "is not prime"),
+        (2 * 10**400, 2, "is not prime"),
+        (2**89 - 1, 3, "below bound 3317044064679887385961981"),
+    ],
+)
+def test_large_primes_are_checked_in_bounded_time(capsys, p, code, message):
+    start = time.perf_counter()
+    got, out, err = run_cli(capsys, "modg", "S3", "-p", str(p))
+    assert time.perf_counter() - start < 1.0
+    assert got == code
+    if message is None:
+        assert out.strip() == "S3 (order 6)" and err == ""
+    else:
+        (line,) = err.splitlines()
+        assert line.startswith("error: ") and line.endswith(message)
 
 
 def test_max_order_flag(capsys):

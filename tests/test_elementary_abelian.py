@@ -18,6 +18,7 @@ from galcalc import perm
 from galcalc.catalogue import catalogue_group, group_from_catalogue, standard_catalogue
 from galcalc.errors import SizeError
 from galcalc.orbitcat import conjugacy_class_representatives
+from galcalc.pipelines import maximal_representatives, orbit_nerve, weyl_group
 from galcalc.perm import Perm, PermGroup, Subgroup, _Closure, _right_mul
 
 PERM_SPECS = {
@@ -135,13 +136,62 @@ def test_class_search_builds_fewer_extensions_than_subgroups(
 def test_every_member_reads_its_class_walk_rooted_at_itself():
     for spec, p in [("S4", 2), ("S5", 2), ("A5", 3), ("D24", 2), ("C2xC2xC2", 2)]:
         G = group_from_catalogue(spec)
-        for H in G.elementary_abelian_p_subgroups(p):
+        family = G.elementary_abelian_p_subgroups(p)
+        for H in family:
             conjugates, x, edges = H.class_walk()
             assert conjugates[0] == H and H.conjugacy_class()[0] is H
             assert all(H.conjugate(g) == C for C, g in zip(conjugates, x))
             assert all(conjugates[c].conjugate(g) == conjugates[d] for c, g, d in edges)
             scan = {g for g in G.elements if H.conjugate(g) == H}
             assert set(G.normalizer(H).members) == scan, (spec, p)
+        # one walk per member asked: a walk is kept only under its root
+        assert sorted(G._walks) == sorted(H.bits for H in family), (spec, p)
+
+
+def _skeleton_and_weyl_groups(G, subs):
+    """Everything galois_stmod asks of the class walks after the search."""
+    cat, components, F = orbit_nerve(G, subs)
+    for H in cat.object_info:
+        G.normalizer(H)
+    for H in maximal_representatives(cat):
+        weyl_group(G, H)
+    return F.spec_text(), components, [m.label for m in cat.morphisms]
+
+
+def test_the_skeleton_reads_only_the_walks_the_search_made():
+    # the search starts each class at the member the skeleton takes, so
+    # nothing after it starts a walk: no walk is ever made from a second member
+    checked = 0
+    for spec in standard_catalogue(48):
+        G = group_from_catalogue(spec)
+        for p in _primes(G.order):
+            before = len(G._walks)
+            subs = G.elementary_abelian_p_subgroups(p)
+            made = len(G._walks) - before
+            assert made == len(conjugacy_class_representatives(subs)), (spec, p)
+            _skeleton_and_weyl_groups(G, subs)
+            assert len(G._walks) - before == made, (spec, p)
+            checked += 1
+    assert checked == 173
+
+
+def test_walks_from_the_last_member_give_the_same_nerve():
+    for spec in standard_catalogue(48):
+        for p in _primes(catalogue_group(spec).order):
+            G = group_from_catalogue(spec)
+            subs = G.elementary_abelian_p_subgroups(p)
+            default = _skeleton_and_weyl_groups(G, subs)
+            # each class walked first from its last member in family order
+            G = group_from_catalogue(spec)
+            subs = G.elementary_abelian_p_subgroups(p)
+            last = {}
+            for H in subs:
+                for C in H.class_walk()[0]:
+                    last[C.bits] = H
+            G._walks.clear()
+            for H in set(last.values()):
+                H.class_walk()
+            assert _skeleton_and_weyl_groups(G, subs) == default, (spec, p)
 
 
 def test_search_cap_counts_stored_subgroups(monkeypatch):

@@ -1,6 +1,7 @@
 """Theorem pipelines: representation, cochain, and stable module paths."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from galcalc.catalogue import (
     name_group,
     standard_catalogue,
 )
-from galcalc.errors import POrderError
+from galcalc.errors import POrderError, SizeError
 from galcalc.fp import FpGroup, FpMap
 from galcalc.perm import find_isomorphism, find_surjection
 from galcalc.pipelines import (
@@ -159,6 +160,27 @@ def test_s8_quotients_above_the_default_order_bound():
 def test_modg_requires_prime():
     with pytest.raises(ValueError):
         galois_modg(catalogue_group("S3"), 4)
+
+
+def test_prime_check_against_trial_division():
+    def trial(n):
+        return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    for n in range(-2, 10**5):
+        try:
+            pipelines._require_prime(n)
+        except ValueError:
+            assert not trial(n), n
+        else:
+            assert trial(n), n
+    # strong pseudoprimes to the first bases: 3215031751 to 2, 3, 5 and 7,
+    # and the least to all of 2..37, which base 41 rejects
+    for n in (3215031751, 318665857834031151167461):
+        with pytest.raises(ValueError, match="not prime"):
+            pipelines._require_prime(n)
+    # the bound is the least strong pseudoprime to all 13 bases: refused
+    with pytest.raises(SizeError, match="bound"):
+        pipelines._require_prime(pipelines.MAX_PRIME_CHECKED)
 
 
 # -- cochain path ---------------------------------------------------------------
