@@ -44,7 +44,7 @@ def group_from_catalogue(spec: str, max_order: int = DEFAULT_MAX_ORDER) -> PermG
         return _explicit_group(spec, max_order)
     m = _PRODUCT_RE.match(spec)
     if m:
-        ns = [int(p[1:]) for p in spec.split("x")]
+        ns = [_spec_number(p[1:], spec) for p in spec.split("x")]
         if any(n < 1 for n in ns):
             raise ParseError(f"bad cyclic factor in {spec!r}")
         order = math.prod(ns)
@@ -53,7 +53,7 @@ def group_from_catalogue(spec: str, max_order: int = DEFAULT_MAX_ORDER) -> PermG
     m = _FAMILY_RE.match(spec)
     if not m:
         raise ParseError(f"unrecognized group spec {spec!r}")
-    fam, n = m.group(1), int(m.group(2))
+    fam, n = m.group(1), _spec_number(m.group(2), spec)
     if fam in "SAC" and n < 1:
         raise ParseError(f"{fam}<n> needs n >= 1")
     if fam == "S":
@@ -76,6 +76,14 @@ def group_from_catalogue(spec: str, max_order: int = DEFAULT_MAX_ORDER) -> PermG
         _check_order(n, max_order, spec)
         return _generalized_quaternion(n // 4, spec, max_order)
     raise ParseError(f"unrecognized group spec {spec!r}")  # pragma: no cover
+
+
+def _spec_number(digits: str, spec: str) -> int:
+    """A number of the spec, or ParseError past ``int``'s digit limit."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"number too long in group spec {spec!r}") from None
 
 
 def _factorial_past(n: int, bound: int) -> int:

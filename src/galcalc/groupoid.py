@@ -23,7 +23,7 @@ from .perm import (
     PermGroup,
     Subgroup,
     find_isomorphism,
-    hom_conjugacy_classes,
+    hom_classes_with_centralizers,
     homomorphisms,
 )
 
@@ -186,15 +186,13 @@ def hom_groupoid(G: PermGroup, H: PermGroup) -> HomGroupoidReport:
 
     Components are conjugacy classes of homomorphisms; the automorphism
     group at a representative f is the centralizer in H of f(G), which is
-    the centralizer of the generator images f(s).
+    the centralizer of the generator images f(s).  Both come from one
+    conjugation sweep per class (``hom_classes_with_centralizers``).
     """
-    classes = hom_conjugacy_classes(G, H)
-    components = []
-    for cls in classes:
-        rep = cls[0]
-        cent = H.centralizer(rep.gen_images)
-        components.append((rep, cent))
-    return HomGroupoidReport(G, H, tuple(components))
+    components = tuple(
+        (cls[0], cent) for cls, cent in hom_classes_with_centralizers(G, H)
+    )
+    return HomGroupoidReport(G, H, components)
 
 
 def hom_groupoid_bruteforce(G: PermGroup, H: PermGroup) -> FinGroupoid:

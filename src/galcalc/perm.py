@@ -22,7 +22,11 @@ is the closure of the walk's Schreier generators, stopped at |G| /
 |class|, and the center is read off the generators' conjugation tables.
 Elementary abelian p-subgroups are found by cyclic extension of one
 representative per class, the root of its walk.  Centralizers test one
-element per right coset of the part found so far.  A quotient G/N is
+element per right coset of the part found so far.  Hom(G, H) is
+searched once per pair and kept on G while H lives; each conjugacy class
+of homomorphisms and the centralizer of its representative's image come
+from one conjugation sweep, two C calls per generator image and
+conjugator, certified by |class| * |centralizer| = |H|.  A quotient G/N is
 first the action on the N-orbits, then, when that fails, the action on
 the left cosets of N (``Subgroup.cosets``, the one left-coset routine):
 either way the one check |G/N| * |N| = |G| proves both that N is normal
@@ -46,6 +50,7 @@ import functools
 import itertools
 import math
 import re
+import weakref
 from collections import Counter
 from math import gcd
 from operator import itemgetter
@@ -218,6 +223,9 @@ class PermGroup:
         self._small_gens: Optional[tuple[Perm, ...]] = None
         self._walks: dict[int, tuple[list, list[Perm], list]] = {}
         self._normalizers: dict["Subgroup", "Subgroup"] = {}
+        # Hom(self, H) per live target H, as (images, map) pairs, which hold
+        # no reference back to either group; made on the first search
+        self._homs: Optional[weakref.WeakKeyDictionary] = None
 
     def __repr__(self) -> str:
         label = self.name or f"degree {self.degree}, {len(self.generators)} gens"
@@ -878,27 +886,34 @@ def extend_generator_map(
 
 
 def homomorphisms(G: PermGroup, H: PermGroup) -> list[GroupHom]:
-    """All homomorphisms G -> H, by brute-force generator assignment.
+    """All homomorphisms G -> H, sorted by generator images, by brute-force
+    generator assignment.
 
     Candidate images are pruned by order divisibility; each candidate is
-    extended and proved multiplicative by ``extend_generator_map``.
+    extended and proved multiplicative by ``extend_generator_map``.  The
+    search runs once per pair: G keeps its result per target H, and each
+    call returns a fresh list of fresh GroupHoms.
     """
-    cand_lists = []
-    total = 1
-    for g in G.generators:
-        o = g.order()
-        cands = [h for h, b in zip(H.elements, H.element_orders) if o % b == 0]
-        cand_lists.append(cands)
-        total *= len(cands)
-    if total > HOM_SEARCH_BOUND:
-        raise SizeError(f"homomorphism search space {total} exceeds bound")
-    out = []
-    for images in itertools.product(*cand_lists):
-        fmap = extend_generator_map(G, images, H.identity)
-        if fmap is not None:
-            out.append(GroupHom(G, H, images, _map=fmap))
-    out.sort(key=lambda f: f.key())
-    return out
+    if G._homs is None:
+        G._homs = weakref.WeakKeyDictionary()
+    found = G._homs.get(H)
+    if found is None:
+        cand_lists = []
+        total = 1
+        for g in G.generators:
+            o = g.order()
+            cands = [h for h, b in zip(H.elements, H.element_orders) if o % b == 0]
+            cand_lists.append(cands)
+            total *= len(cands)
+        if total > HOM_SEARCH_BOUND:
+            raise SizeError(f"homomorphism search space {total} exceeds bound")
+        found = []
+        for images in itertools.product(*cand_lists):
+            fmap = extend_generator_map(G, images, H.identity)
+            if fmap is not None:
+                found.append((images, fmap))
+        G._homs[H] = found  # product order over sorted lists: sorted by images
+    return [GroupHom(G, H, images, _map=fmap) for images, fmap in found]
 
 
 def are_conjugate_homs(f: GroupHom, g: GroupHom) -> bool:
@@ -914,23 +929,58 @@ def are_conjugate_homs(f: GroupHom, g: GroupHom) -> bool:
     return False
 
 
-def hom_conjugacy_classes(G: PermGroup, H: PermGroup) -> list[list[GroupHom]]:
-    """Conjugacy classes of Hom(G, H); class reps are the sorted-least."""
+def _conjugation_sweep(
+    images: tuple[Perm, ...], conjugators: Sequence[tuple[Callable, Callable]]
+) -> tuple[set[tuple[tuple[int, ...], ...]], list[int]]:
+    """The conjugates x f x^-1 of generator images f, one per pair
+    (x.__getitem__, _right_mul(x^-1)) in ``conjugators``, at two C calls
+    per image: their set, and the positions of the x that give f back."""
+    orbit, fixed = set(), []
+    for i, (at, step) in enumerate(conjugators):
+        key = tuple([tuple(map(at, step(fi))) for fi in images])
+        orbit.add(key)
+        if key == images:
+            fixed.append(i)
+    return orbit, fixed
+
+
+def hom_classes_with_centralizers(
+    G: PermGroup, H: PermGroup
+) -> list[tuple[list[GroupHom], Subgroup]]:
+    """The conjugacy classes of Hom(G, H), each with the centralizer in H of
+    its representative's image, read off one conjugation sweep per class.
+
+    The homomorphisms are scanned in sorted order, so the first one not in
+    a class yet is the sorted-least of its own, the representative f.  Its
+    generator images are conjugated by every x in H: the distinct results
+    are f's class, and the x with x f x^-1 = f form C_H(f(G)), the
+    stabilizer.  CertificateError unless |class| * |C_H(f(G))| = |H|,
+    orbit-stabilizer (Holt, Eick and O'Brien, Handbook of Computational
+    Group Theory, 4.1).
+    """
     homs = homomorphisms(G, H)
     by_key = {f.key(): f for f in homs}
-    conjugators = [(x, x.inverse()) for x in H.elements]
-    classes: list[list[GroupHom]] = []
+    conjugators = [(x.__getitem__, _right_mul(x.inverse())) for x in H.elements]
+    out: list[tuple[list[GroupHom], Subgroup]] = []
     assigned: set[tuple[tuple[int, ...], ...]] = set()
     for f in homs:
         if f.key() in assigned:
             continue
-        orbit = {
-            tuple(x * fi * xi for fi in f.gen_images)
-            for x, xi in conjugators
-        }
+        orbit, fixed = _conjugation_sweep(f.gen_images, conjugators)
+        if len(orbit) * len(fixed) != H.order:
+            raise CertificateError(
+                f"class of {len(orbit)} homomorphisms with a stabilizer of "
+                f"{len(fixed)} in a group of order {H.order}"
+            )
         assigned |= orbit
-        classes.append([by_key[k] for k in sorted(orbit)])
-    return classes
+        centralizer = Subgroup(H, sum(1 << i for i in fixed))
+        out.append(([by_key[k] for k in sorted(orbit)], centralizer))
+    return out
+
+
+def hom_conjugacy_classes(G: PermGroup, H: PermGroup) -> list[list[GroupHom]]:
+    """Conjugacy classes of Hom(G, H); class reps are the sorted-least."""
+    return [cls for cls, _ in hom_classes_with_centralizers(G, H)]
 
 
 def find_isomorphism(

@@ -204,6 +204,16 @@ def test_huge_family_order_is_refused_without_computing_it(capsys, monkeypatch, 
     assert err.splitlines() == [f"error: {spec}: order exceeds bound 20000"]
 
 
+@pytest.mark.parametrize("form", ["C{}", "S{}", "A{}", "D{}", "C2xC{}"])
+def test_spec_number_past_the_digit_limit_is_a_parse_error(capsys, form):
+    # int() refuses more than 4300 digits; the refusal names the spec
+    spec = form.format("9" * 5000)
+    code, out, err = run_cli(capsys, "modg", spec, "-p", "2")
+    assert code == 2 and out == ""
+    (line,) = err.splitlines()
+    assert line == f"error: number too long in group spec {spec!r}"
+
+
 @pytest.mark.parametrize(
     "p, code, message",
     [
